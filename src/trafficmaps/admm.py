@@ -1,9 +1,16 @@
 """ADMM solvers for the convex traffic/anomaly estimators.
 
-Three variants share one splitting (auxiliary copies O of X and B of A so the
-routing matrix never couples a prox step): the equality-constrained noiseless
-program, its penalized least-squares counterpart, and the outlier-robust
-extension with sparse link/flow outlier blocks.
+One splitting loop, `_split`, serves all three: auxiliary copies O of X and B
+of A, so the routing matrix never couples a prox step.  Each iteration
+soft-thresholds A, solves for O column by column, thresholds the singular
+values of X and solves for B.  The estimators differ only in their data-fit
+term, which a per-estimator fit step supplies as targets for O + B:
+
+* p2, the equality-constrained noiseless program: multipliers on the link
+  and flow constraints (`_Multipliers`);
+* p1, its penalized least-squares counterpart: the counts (`_FixedTargets`);
+* p6, the outlier-robust extension: the counts minus sparse link/flow
+  outliers, soft-thresholded after each sweep (`_Outliers`).
 """
 
 from __future__ import annotations
@@ -81,10 +88,6 @@ class ConvergenceReport:
     wall_time: float = 0.0
     state: "AdmmState | None" = None
 
-    @property
-    def final_residuals(self) -> dict:
-        return {k: v[-1] for k, v in self.residuals.items() if v}
-
 
 def soft_threshold(M, tau: float):
     """Entrywise sgn(m) * max(|m| - tau, 0); the l1 prox."""
@@ -132,7 +135,7 @@ class ColumnSolves:
         self._mask = mask
         self._link_mask = link_mask
         self._scale = float(diag_scale)
-        base_gram = R.T @ R if link_mask is None else None
+        self._gram = R.T @ R if link_mask is None else None
         inverses: list[np.ndarray] = []
         seen: dict = {}
         index = np.empty(T, dtype=int)
@@ -142,14 +145,7 @@ class ColumnSolves:
             if link_mask is not None:
                 key = (key, link_mask[:, t].tobytes())
             if key not in seen:
-                if base_gram is None:
-                    Rm = R[link_mask[:, t]]
-                    G = self._scale * eye + Rm.T @ Rm
-                else:
-                    G = self._scale * eye + base_gram
-                obs = np.flatnonzero(mask[:, t])
-                G[obs, obs] += 1.0
-                inverses.append(cho_solve(cho_factor(G), eye))
+                inverses.append(cho_solve(cho_factor(self.system_matrix(t)), eye))
                 seen[key] = len(inverses) - 1
             index[t] = seen[key]
         self._inverses = inverses
@@ -160,14 +156,14 @@ class ColumnSolves:
         return len(self._inverses)
 
     def system_matrix(self, t: int) -> np.ndarray:
-        """The matrix whose inverse column t is solved against (for checks)."""
-        R, mask = self._R, self._mask
+        """The matrix whose inverse column t is solved against."""
         if self._link_mask is None:
-            G = self._scale * np.eye(R.shape[1]) + R.T @ R
+            gram = self._gram
         else:
-            Rm = R[self._link_mask[:, t]]
-            G = self._scale * np.eye(R.shape[1]) + Rm.T @ Rm
-        obs = np.flatnonzero(mask[:, t])
+            Rm = self._R[self._link_mask[:, t]]
+            gram = Rm.T @ Rm
+        G = self._scale * np.eye(len(gram)) + gram
+        obs = np.flatnonzero(self._mask[:, t])
         G[obs, obs] += 1.0
         return G
 
@@ -198,6 +194,122 @@ def default_lambda(F: int, T: int) -> float:
     return 1.0 / np.sqrt(max(F, T))
 
 
+def _on_links(M: np.ndarray, link_mask: np.ndarray | None) -> np.ndarray:
+    """Zero the unobserved link cells; every link is observed without a mask."""
+    return M if link_mask is None else np.where(link_mask, M, 0.0)
+
+
+class _FixedTargets:
+    """p1 fit step: the targets are the observed counts."""
+
+    def __init__(self, R: np.ndarray, obs: Observations):
+        self._data = (R.T @ obs.link_counts, obs.flow_counts)
+
+    def data(self):
+        return self._data
+
+    def update(self, OB: np.ndarray):
+        return {}, ()
+
+
+class _Multipliers:
+    """p2 fit step: dual ascent on the constraints Y = R(O+B), Pi(Z) = Pi(O+B).
+
+    The targets are Y + M_y/c and Z + M_z/c.  The multipliers absorb the last
+    residual just before each sweep, so the first sweep sees c*Y and c*Z and
+    the final multipliers lag the final residuals, as M_a and M_x do.
+    """
+
+    def __init__(self, R: np.ndarray, obs: Observations, c: float):
+        self._R, self._obs, self._c = R, obs, c
+        self.M_y, self.M_z = np.zeros_like(obs.link_counts), np.zeros(obs.flow_counts.shape)
+        self._r_y, self._r_z = obs.link_counts, obs.flow_counts
+
+    def data(self):
+        self.M_y += self._c * self._r_y
+        self.M_z += self._c * self._r_z
+        return (self._R.T @ (self._obs.link_counts + self.M_y / self._c),
+                self._obs.flow_counts + self.M_z / self._c)
+
+    def update(self, OB: np.ndarray):
+        obs = self._obs
+        self._r_y = obs.link_counts - self._R @ OB
+        self._r_z = np.where(obs.mask.mask, obs.flow_counts - OB, 0.0)
+        return {"r_y": float(np.linalg.norm(self._r_y)),
+                "r_z": float(np.linalg.norm(self._r_z))}, ()
+
+
+class _Outliers:
+    """p6 fit step: the targets are the counts minus sparse outlier blocks
+    O_y, O_z, the soft-thresholded residuals on the observed cells."""
+
+    def __init__(self, R: np.ndarray, obs: Observations, cfg: AdmmConfig, link_mask):
+        self._R, self._obs, self._cfg, self._link_mask = R, obs, cfg, link_mask
+        self.O_y, self.O_z = np.zeros_like(obs.link_counts), np.zeros(obs.flow_counts.shape)
+
+    def data(self):
+        # both flow terms are supported on the flow mask
+        return (self._R.T @ _on_links(self._obs.link_counts - self.O_y, self._link_mask),
+                self._obs.flow_counts - self.O_z)
+
+    def update(self, OB: np.ndarray):
+        obs, cfg = self._obs, self._cfg
+        O_y = soft_threshold(_on_links(obs.link_counts - self._R @ OB, self._link_mask),
+                             cfg.lambda_y)
+        O_z = soft_threshold(np.where(obs.mask.mask, obs.flow_counts - OB, 0.0), cfg.lambda_z)
+        changes = (np.linalg.norm(O_y - self.O_y), np.linalg.norm(O_z - self.O_z))
+        self.O_y, self.O_z = O_y, O_z
+        return {}, changes
+
+
+def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: float,
+           nuclear: float, l1: float, link_mask: np.ndarray | None = None):
+    """The splitting loop shared by p1, p2 and p6.
+
+    Minimizes nuclear*||X||_* + l1*||A||_1 + weight * (fit of O + B to the fit
+    step's targets) subject to O = X and B = A.  Returns the final iterates
+    X, A, B, O, M_a, M_x by name and a report without objective or state.
+    """
+    mask = obs.mask.mask
+    c = cfg.c
+    tol_primal, tol_dual = cfg.resolved_tols(obs.link_counts)
+    handles = ColumnSolves(R, mask, diag_scale=c / weight, link_mask=link_mask)
+
+    def fit_normal(V):  # (Pi + R' Lambda R) V, the data-fit part of the column systems
+        return np.where(mask, V, 0.0) + R.T @ _on_links(R @ V, link_mask)
+
+    X, A, B, O, M_a, M_x = (np.zeros(mask.shape) for _ in range(6))
+    hist: dict = {}
+    start = time.perf_counter()
+    converged = False
+    k = 0
+    for k in range(cfg.max_iters):
+        M_a += c * (B - A)
+        M_x += c * (O - X)
+        X_old, A_old = X, A
+
+        data_y, data_z = fit.data()
+        A = soft_threshold(B + M_a / c, l1 / c)
+        O = handles.apply((c * X - M_x) / weight + data_y + data_z - fit_normal(B))
+        _check_finite(O, k)
+        X = svt(O + M_x / c, nuclear / c)
+        _check_finite(X, k)
+        B = handles.apply((c * A - M_a) / weight + data_y + data_z - fit_normal(O))
+
+        residuals, changes = fit.update(O + B)
+        r_ba = float(np.linalg.norm(B - A))
+        r_ox = float(np.linalg.norm(O - X))
+        delta = float(max(np.linalg.norm(X - X_old), np.linalg.norm(A - A_old), *changes))
+        for name, value in {**residuals, "r_ba": r_ba, "r_ox": r_ox, "delta": delta}.items():
+            hist.setdefault(name, []).append(value)
+        if max(*residuals.values(), r_ba, r_ox) < tol_primal and delta < tol_dual:
+            converged = True
+            break
+    report = ConvergenceReport(converged=converged, iterations=k + 1, residuals=hist,
+                               wall_time=time.perf_counter() - start)
+    return dict(X=X, A=A, B=B, O=O, M_a=M_a, M_x=M_x), report
+
+
 def admm_solve_p2(obs: Observations, routing, cfg: AdmmConfig | None = None):
     """Equality-constrained nuclear + l1 recovery from noiseless counts.
 
@@ -206,70 +318,12 @@ def admm_solve_p2(obs: Observations, routing, cfg: AdmmConfig | None = None):
     """
     cfg = cfg or AdmmConfig()
     R = routing_entries(routing)
-    Y, Z, mask = obs.link_counts, obs.flow_counts, obs.mask.mask
-    F, T = Z.shape
-    lam = cfg.lam if cfg.lam is not None else default_lambda(F, T)
-    c = cfg.c
-    tol_primal, tol_dual = cfg.resolved_tols(Y)
-    handles = ColumnSolves(R, mask, diag_scale=1.0)
-
-    X = np.zeros((F, T))
-    A = np.zeros((F, T))
-    B = np.zeros((F, T))
-    O = np.zeros((F, T))
-    M_y = np.zeros_like(Y)
-    M_z = np.zeros((F, T))
-    M_a = np.zeros((F, T))
-    M_x = np.zeros((F, T))
-    RtY = R.T @ Y
-    ry_mat = Y.copy()
-    rz_mat = Z.copy()
-
-    hist: dict = {k: [] for k in ("r_y", "r_z", "r_ba", "r_ox", "delta")}
-    start = time.perf_counter()
-    converged = False
-    k = 0
-    for k in range(cfg.max_iters):
-        M_y += c * ry_mat
-        M_z += c * rz_mat
-        M_a += c * (B - A)
-        M_x += c * (O - X)
-        X_old, A_old = X, A
-
-        A = soft_threshold(B + M_a / c, lam / c)
-        dual_term = (R.T @ M_y + M_z - M_x) / c
-        O = handles.apply(X + Z + RtY - (np.where(mask, B, 0.0) + R.T @ (R @ B)) + dual_term)
-        X = svt(O + M_x / c, 1.0 / c)
-        dual_term = (R.T @ M_y + M_z - M_a) / c
-        B = handles.apply(A + Z + RtY - (np.where(mask, O, 0.0) + R.T @ (R @ O)) + dual_term)
-        _check_finite(O, k)
-        _check_finite(X, k)
-
-        OB = O + B
-        ry_mat = Y - R @ OB
-        rz_mat = np.where(mask, Z - OB, 0.0)
-        hist["r_y"].append(float(np.linalg.norm(ry_mat)))
-        hist["r_z"].append(float(np.linalg.norm(rz_mat)))
-        hist["r_ba"].append(float(np.linalg.norm(B - A)))
-        hist["r_ox"].append(float(np.linalg.norm(O - X)))
-        delta = max(np.linalg.norm(X - X_old), np.linalg.norm(A - A_old))
-        hist["delta"].append(float(delta))
-        if (
-            max(hist["r_y"][-1], hist["r_z"][-1], hist["r_ba"][-1], hist["r_ox"][-1])
-            < tol_primal
-            and delta < tol_dual
-        ):
-            converged = True
-            break
-    report = ConvergenceReport(
-        converged=converged,
-        iterations=k + 1,
-        residuals=hist,
-        wall_time=time.perf_counter() - start,
-        state=AdmmState(X=X, A=A, B=B, O=O, M_y=M_y, M_z=M_z, M_a=M_a, M_x=M_x,
-                        iteration=k + 1, residuals=hist),
-    )
-    return X, A, report
+    lam = cfg.lam if cfg.lam is not None else default_lambda(*obs.flow_counts.shape)
+    fit = _Multipliers(R, obs, cfg.c)
+    iterates, report = _split(obs, R, cfg, fit, weight=cfg.c, nuclear=1.0, l1=lam)
+    report.state = AdmmState(**iterates, M_y=fit.M_y, M_z=fit.M_z,
+                             iteration=report.iterations, residuals=report.residuals)
+    return iterates["X"], iterates["A"], report
 
 
 def p1_objective(X, A, obs: Observations, routing, lambda_star: float, lambda_1: float) -> float:
@@ -288,56 +342,17 @@ def admm_solve_p1(obs: Observations, routing, cfg: AdmmConfig | None = None):
     """Penalized estimator: quadratic data fit plus nuclear and l1 penalties."""
     cfg = cfg or AdmmConfig()
     R = routing_entries(routing)
-    Y, Z, mask = obs.link_counts, obs.flow_counts, obs.mask.mask
-    F, T = Z.shape
-    c = cfg.c
-    tol_primal, tol_dual = cfg.resolved_tols(Y)
-    handles = ColumnSolves(R, mask, diag_scale=c)
-
-    X = np.zeros((F, T))
-    A = np.zeros((F, T))
-    B = np.zeros((F, T))
-    O = np.zeros((F, T))
-    M_a = np.zeros((F, T))
-    M_x = np.zeros((F, T))
-    RtY = R.T @ Y
-
-    hist: dict = {k: [] for k in ("r_ba", "r_ox", "delta")}
-    start = time.perf_counter()
-    converged = False
-    k = 0
-    for k in range(cfg.max_iters):
-        M_a += c * (B - A)
-        M_x += c * (O - X)
-        X_old, A_old = X, A
-
-        A = soft_threshold(B + M_a / c, cfg.lambda_1 / c)
-        O = handles.apply(c * X - M_x + RtY + Z - (np.where(mask, B, 0.0) + R.T @ (R @ B)))
-        X = svt(O + M_x / c, cfg.lambda_star / c)
-        B = handles.apply(c * A - M_a + RtY + Z - (np.where(mask, O, 0.0) + R.T @ (R @ O)))
-        _check_finite(O, k)
-        _check_finite(X, k)
-
-        hist["r_ba"].append(float(np.linalg.norm(B - A)))
-        hist["r_ox"].append(float(np.linalg.norm(O - X)))
-        delta = max(np.linalg.norm(X - X_old), np.linalg.norm(A - A_old))
-        hist["delta"].append(float(delta))
-        if max(hist["r_ba"][-1], hist["r_ox"][-1]) < tol_primal and delta < tol_dual:
-            converged = True
-            break
-    report = ConvergenceReport(
-        converged=converged,
-        iterations=k + 1,
-        residuals=hist,
-        objective=p1_objective(X, A, obs, routing, cfg.lambda_star, cfg.lambda_1),
-        wall_time=time.perf_counter() - start,
-    )
+    iterates, report = _split(obs, R, cfg, _FixedTargets(R, obs), weight=1.0,
+                              nuclear=cfg.lambda_star, l1=cfg.lambda_1)
+    X, A = iterates["X"], iterates["A"]
+    report.objective = p1_objective(X, A, obs, routing, cfg.lambda_star, cfg.lambda_1)
     return X, A, report
 
 
 def p6_objective(X, A, O_y, O_z, obs: Observations, routing, link_mask, cfg: AdmmConfig) -> float:
+    """The p6 objective; `link_mask=None` counts every link as observed."""
     R = routing_entries(routing)
-    res_y = np.where(link_mask, obs.link_counts - R @ (X + A) - O_y, 0.0)
+    res_y = _on_links(obs.link_counts - R @ (X + A) - O_y, link_mask)
     res_z = project_sampling(obs.mask, obs.flow_counts - X - A - O_z)
     return float(
         0.5 * np.linalg.norm(res_y) ** 2
@@ -357,68 +372,13 @@ def admm_solve_p6(obs: Observations, routing, cfg: AdmmConfig | None = None,
     """
     cfg = cfg or AdmmConfig()
     R = routing_entries(routing)
-    Y, Z, mask = obs.link_counts, obs.flow_counts, obs.mask.mask
-    F, T = Z.shape
-    if link_mask is None:
-        link_mask = np.ones(Y.shape, dtype=bool)
-    else:
+    if link_mask is not None:
         link_mask = np.asarray(link_mask, dtype=bool)
-        if link_mask.shape != Y.shape:
+        if link_mask.shape != obs.link_counts.shape:
             raise ValueError("link mask must match link counts")
-    c = cfg.c
-    tol_primal, tol_dual = cfg.resolved_tols(Y)
-    handles = ColumnSolves(R, mask, diag_scale=c, link_mask=link_mask)
-
-    X = np.zeros((F, T))
-    A = np.zeros((F, T))
-    B = np.zeros((F, T))
-    O = np.zeros((F, T))
-    O_y = np.zeros_like(Y)
-    O_z = np.zeros((F, T))
-    M_a = np.zeros((F, T))
-    M_x = np.zeros((F, T))
-
-    hist: dict = {k: [] for k in ("r_ba", "r_ox", "delta")}
-    start = time.perf_counter()
-    converged = False
-    k = 0
-    for k in range(cfg.max_iters):
-        M_a += c * (B - A)
-        M_x += c * (O - X)
-        X_old, A_old = X, A
-        Oy_old, Oz_old = O_y, O_z
-
-        data_y = R.T @ np.where(link_mask, Y - O_y, 0.0)
-        data_z = Z - O_z  # both supported on the flow mask
-        A = soft_threshold(B + M_a / c, cfg.lambda_1 / c)
-        gram_b = R.T @ np.where(link_mask, R @ B, 0.0)
-        O = handles.apply(c * X - M_x + data_y + data_z - (np.where(mask, B, 0.0) + gram_b))
-        X = svt(O + M_x / c, cfg.lambda_star / c)
-        gram_o = R.T @ np.where(link_mask, R @ O, 0.0)
-        B = handles.apply(c * A - M_a + data_y + data_z - (np.where(mask, O, 0.0) + gram_o))
-        OB = O + B
-        O_y = soft_threshold(np.where(link_mask, Y - R @ OB, 0.0), cfg.lambda_y)
-        O_z = soft_threshold(np.where(mask, Z - OB, 0.0), cfg.lambda_z)
-        _check_finite(O, k)
-        _check_finite(X, k)
-
-        hist["r_ba"].append(float(np.linalg.norm(B - A)))
-        hist["r_ox"].append(float(np.linalg.norm(O - X)))
-        delta = max(
-            np.linalg.norm(X - X_old),
-            np.linalg.norm(A - A_old),
-            np.linalg.norm(O_y - Oy_old),
-            np.linalg.norm(O_z - Oz_old),
-        )
-        hist["delta"].append(float(delta))
-        if max(hist["r_ba"][-1], hist["r_ox"][-1]) < tol_primal and delta < tol_dual:
-            converged = True
-            break
-    report = ConvergenceReport(
-        converged=converged,
-        iterations=k + 1,
-        residuals=hist,
-        objective=p6_objective(X, A, O_y, O_z, obs, routing, link_mask, cfg),
-        wall_time=time.perf_counter() - start,
-    )
-    return X, A, O_y, O_z, report
+    fit = _Outliers(R, obs, cfg, link_mask)
+    iterates, report = _split(obs, R, cfg, fit, weight=1.0, nuclear=cfg.lambda_star,
+                              l1=cfg.lambda_1, link_mask=link_mask)
+    X, A = iterates["X"], iterates["A"]
+    report.objective = p6_objective(X, A, fit.O_y, fit.O_z, obs, routing, link_mask, cfg)
+    return X, A, fit.O_y, fit.O_z, report

@@ -65,17 +65,11 @@ class _BlockSolver:
             self.diag = None
             self.chol = cho_factor(block)
             self.inv_norm = 1.0 / np.linalg.eigvalsh(block)[0]
-            self._block = block
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         if self.diag is not None:
             return v / self.diag
         return cho_solve(self.chol, v)
-
-    def matrix(self, size: int) -> np.ndarray:
-        if self.diag is not None:
-            return self.diag * np.eye(size)
-        return self._block
 
 
 @dataclass(frozen=True)
@@ -192,14 +186,6 @@ class CorrelationSet:
 
     def quad_RC(self, M: np.ndarray) -> float:
         return float(np.sum(M * self.solve_RC(M)))
-
-    def block_matrices(self, f: int):
-        """Conditioned dense (R_b, R_c) block pair of flow f, for inspection."""
-        T = self.n_periods
-        return (
-            self._block_solvers("b")[f].matrix(T),
-            self._block_solvers("c")[f].matrix(T),
-        )
 
     @property
     def inv_norm_RL(self) -> float:
@@ -371,15 +357,3 @@ def learn_Ra_from_history(data: TrainingData) -> np.ndarray:
             prods = A[:, tau:] * A[:, :-tau]
         out[:, tau] = prods.sum(axis=1) / (total - tau)
     return out
-
-
-def correlations_from_burst(
-    bp: BurstParams,
-    R_L: np.ndarray,
-    R_Q: np.ndarray,
-    periods: int,
-    n_flows: int,
-) -> CorrelationSet:
-    """Assemble a CorrelationSet from learned (R_L, R_Q) and analytic burst blocks."""
-    blocks = split_RB_RC(burst_correlations(bp, periods, n_flows))
-    return CorrelationSet(R_L, R_Q, blocks)

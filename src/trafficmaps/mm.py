@@ -205,21 +205,11 @@ def mm_step(state: FactorState, obs: Observations, routing, corr: CorrelationSet
     returned alongside the new state (used by the monotonicity checks).
     `gram_norm` lets a driver reuse sigma_max(R'R) across iterations.
     """
-    R = routing_entries(routing)
     if gram_norm is None:
         gram_norm = gram_spectral_norm(routing)
     block_objs = []
     for block in _BLOCKS:
-        phi_y, phi_z = residuals(state, obs, routing)
-        S = R.T @ phi_y + phi_z
-        if block == "L":
-            grad = S @ state.Q + cfg.lambda_star * corr.solve_RL(state.L)
-        elif block == "Q":
-            grad = S.T @ state.L + cfg.lambda_star * corr.solve_RQ(state.Q)
-        elif block == "B":
-            grad = state.C * S + cfg.lambda_1 * corr.solve_RB(state.B)
-        else:
-            grad = state.B * S + cfg.lambda_1 * corr.solve_RC(state.C)
+        grad = block_gradient(block, state, obs, routing, corr, cfg)
         mu = step_bound(block, state, routing, corr, cfg, gram_norm=gram_norm)
         state = replace(state, **{block: getattr(state, block) - grad / mu})
         if not state.is_finite():

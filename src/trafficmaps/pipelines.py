@@ -715,7 +715,17 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
     if guard_tripped:
         out["omitted"] = "incoherences,tau,lambda_range,certificate (size guard)"
     else:
-        m = measure_incoherences(routing, obs.mask, bundle)
+        lam = cfg.get("diagnose.lam")
+        lam = lam if lam is not None else default_lambda(F, T)
+        # The certificate computes the incoherence measures; compute them
+        # directly only when it stops before reaching them.
+        try:
+            cert = dual_certificate(routing, obs.mask, bundle, lam,
+                                    sign_A0=truth.anomalies)
+            m = cert.measures
+        except NotLocallyIdentifiableError:
+            cert = None
+            m = measure_incoherences(routing, obs.mask, bundle)
         rep = check_recovery_conditions(
             m["alpha"], m["beta"], m["xi"], m["nu"], m["eta"], m["tau"],
             m["gamma"], m["k_max_col"], mu_npi_omega=m["mu_npi_omega"],
@@ -730,21 +740,17 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
         out["feasible"] = rep.feasible
         if rep.reason:
             out["reason"] = rep.reason
-        lam = cfg.get("diagnose.lam")
-        lam = lam if lam is not None else default_lambda(F, T)
         out["certificate_lambda"] = lam
-        try:
-            cert = dual_certificate(routing, obs.mask, bundle, lam,
-                                    sign_A0=truth.anomalies)
+        if cert is None:
+            out["certificate_passes"] = False
+            out["certificate_error"] = "not locally identifiable"
+        else:
             out["certificate_passes"] = cert.passes
             out["c4_value"] = cert.c4_value
             out["c5_value"] = cert.c5_value
             out["theta"] = cert.theta
             out["cond_a_ok"] = cert.cond_a_ok
             out["cond_b_ok"] = cert.cond_b_ok
-        except NotLocallyIdentifiableError:
-            out["certificate_passes"] = False
-            out["certificate_error"] = "not locally identifiable"
     write_manifest(os.path.join(out_dir, "diagnose.txt"), out)
     if guard_tripped:
         raise SizeGuardError(

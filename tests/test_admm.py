@@ -16,7 +16,7 @@ from trafficmaps.admm import (
     soft_threshold,
     svt,
 )
-from trafficmaps.model import Observations, TrafficMatrices, relative_errors
+from trafficmaps.model import DivergenceError, Observations, TrafficMatrices, relative_errors
 from trafficmaps.synth import (
     GeoGraphParams,
     build_routing,
@@ -206,6 +206,12 @@ class TestAdmmP2:
         assert st.M_y.shape == obs.link_counts.shape
         assert st.iteration == rep.iterations
 
+    def test_non_finite_iterate_raises_divergence(self):
+        r, _, _, obs = make_scenario(1, F=12, T=10, N=8, d_c=0.7)
+        huge = Observations(obs.link_counts * 1e308, obs.flow_counts, obs.mask)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            admm_solve_p2(huge, r, AdmmConfig(max_iters=50))
+
     def test_penalty_coefficient_invariance(self):
         # Any positive penalty must reach the same optimum; this pins down the
         # multiplier scaling of the per-column updates.
@@ -281,12 +287,13 @@ class TestAdmmP6:
         r, _, _, obs = make_scenario(4)
         kw = dict(lambda_star=0.05, lambda_1=0.02, max_iters=3000,
                   tol_primal=1e-9, tol_dual=1e-9)
-        X1, A1, _ = admm_solve_p1(obs, r, AdmmConfig(**kw))
-        X6, A6, Oy, Oz, _ = admm_solve_p6(
+        X1, A1, rep1 = admm_solve_p1(obs, r, AdmmConfig(**kw))
+        X6, A6, Oy, Oz, rep6 = admm_solve_p6(
             obs, r, AdmmConfig(lambda_y=1e8, lambda_z=1e8, **kw)
         )
-        assert np.allclose(X6, X1, atol=1e-9)
-        assert np.allclose(A6, A1, atol=1e-9)
+        assert np.array_equal(X6, X1)
+        assert np.array_equal(A6, A1)
+        assert rep6.iterations == rep1.iterations
         assert np.abs(Oy).max() == 0.0
         assert np.abs(Oz).max() == 0.0
 

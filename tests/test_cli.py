@@ -331,6 +331,34 @@ class TestDiagnoseCommand:
                     "certificate_passes", "feasible"):
             assert key in report
 
+    @pytest.mark.parametrize("synth_cfg, identifiable", [
+        (SMALL_SYNTH, True),
+        ("seed=4\nsynth.nodes=8\nsynth.radius=0.7\nsynth.flows=12\nsynth.periods=10\n"
+         "synth.rank=4\nsynth.anomaly_prob=0.6\nsynth.paths=3\nsynth.sample_prob=0.1\n", False),
+    ], ids=["identifiable", "not-identifiable"])
+    def test_incoherences_measured_once(self, tmp_path, monkeypatch, synth_cfg, identifiable):
+        import trafficmaps.diagnostics as diagnostics
+        import trafficmaps.pipelines as pipelines
+
+        calls = []
+        original = diagnostics.measure_incoherences
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "measure_incoherences", counted)
+        monkeypatch.setattr(pipelines, "measure_incoherences", counted)
+        cfg = write_cfg(tmp_path / "cfg.txt", synth_cfg)
+        scn = tmp_path / "scn"
+        main(["synth", "--config", cfg, "--out", str(scn)])
+        dcfg = write_cfg(tmp_path / "d.txt", f"io.scenario={scn}\n")
+        assert main(["diagnose", "--config", dcfg, "--out", str(tmp_path / "diag")]) == 0
+        report = read_manifest(tmp_path / "diag" / "diagnose.txt")
+        assert ("certificate_error" not in report) == identifiable
+        assert "alpha" in report
+        assert len(calls) == 1
+
     def test_size_guard_exit_code_with_partial_report(self, tmp_path):
         big = write_cfg(
             tmp_path / "big.txt",
