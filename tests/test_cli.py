@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+import trafficmaps.diagnostics as diagnostics
+import trafficmaps.pipelines as pipelines
 from trafficmaps.cli import main
 from trafficmaps.fileio import read_manifest, read_matrix, read_pgm
 from trafficmaps.pipelines import (
@@ -337,9 +339,6 @@ class TestDiagnoseCommand:
          "synth.rank=4\nsynth.anomaly_prob=0.6\nsynth.paths=3\nsynth.sample_prob=0.1\n", False),
     ], ids=["identifiable", "not-identifiable"])
     def test_incoherences_measured_once(self, tmp_path, monkeypatch, synth_cfg, identifiable):
-        import trafficmaps.diagnostics as diagnostics
-        import trafficmaps.pipelines as pipelines
-
         calls = []
         original = diagnostics.measure_incoherences
 
