@@ -2,9 +2,10 @@
 
 Dense orthonormal bases of the relevant matrix subspaces (routing nullspace,
 sampling nullspace, their intersection, anomaly support, low-rank tangent
-space) feed incoherence measures, the closed-form feasible-lambda range, and
-a numerical dual-certificate construction that certifies unique optimality of
-the constrained estimator on a given instance.
+space) feed exact incoherence measures (principal-angle cosines), the
+closed-form feasible-lambda range, and a numerical dual-certificate
+construction that certifies unique optimality of the constrained estimator on
+a given instance.
 """
 
 from __future__ import annotations
@@ -157,49 +158,18 @@ def phi_basis(bundle: SubspaceBundle) -> SubspaceBasis:
     return SubspaceBasis(cols, (F, T))
 
 
-def _as_projector(sub, shape):
-    if isinstance(sub, SubspaceBasis):
-        return sub.project, sub.shape, sub.dim
-    if callable(sub):
-        if shape is None:
-            raise ValueError("shape is required with callable projectors")
-        return sub, tuple(shape), None
-    raise TypeError("subspace must be a SubspaceBasis or a projector callable")
-
-
-def mu(sub_a, sub_b, shape=None, tol: float = 1e-8, max_iters: int = 20000) -> float:
+def mu(sub_a: SubspaceBasis, sub_b: SubspaceBasis) -> float:
     """Incoherence of two matrix subspaces: sigma_max of P_A composed with P_B.
 
-    Power iteration on X -> P_B(P_A(P_B(X))); accepts orthonormal bases or
-    projector callables (pass `shape` with callables).  Returns a value in
-    [0, 1]; zero subspaces give 0.
+    For orthonormal bases this is the spectral norm of V_A' V_B, the cosine
+    of the smallest principal angle between the subspaces (Bjorck and Golub,
+    1973), computed exactly.  Returns a value in [0, 1]; zero subspaces give 0.
     """
-    proj_a, shape_a, dim_a = _as_projector(sub_a, shape)
-    proj_b, shape_b, dim_b = _as_projector(sub_b, shape)
-    if shape_a != shape_b:
+    if sub_a.shape != sub_b.shape:
         raise ValueError("subspaces live in different ambient spaces")
-    if dim_a == 0 or dim_b == 0:
+    if sub_a.dim == 0 or sub_b.dim == 0:
         return 0.0
-    rng = np.random.default_rng(12345)
-    X = rng.standard_normal(shape_a)
-    X = proj_b(X)
-    n = np.linalg.norm(X)
-    if n == 0:
-        return 0.0
-    X /= n
-    lam = 0.0
-    for _ in range(max_iters):
-        Y = proj_b(proj_a(X))
-        lam_new = float(np.sum(X * Y))
-        nY = np.linalg.norm(Y)
-        if nY == 0:
-            return 0.0
-        X = Y / nY
-        if abs(lam_new - lam) <= 0.5 * tol * tol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(min(np.sqrt(max(lam, 0.0)), 1.0))
+    return float(min(np.linalg.norm(sub_a.vectors.T @ sub_b.vectors, 2), 1.0))
 
 
 def gammas(bundle: SubspaceBundle):
@@ -225,6 +195,11 @@ def _infty_to_spectral_ratio(basis: SubspaceBasis, coeff: np.ndarray) -> float:
     return float(np.abs(X).max() / top)
 
 
+def tau_mode(dim: int) -> str:
+    """The mode `tau(mode="auto")` uses for a nullspace intersection of `dim`."""
+    return "exact" if dim <= 3 else "lower_bound"
+
+
 def tau(routing, mask: SamplingMask, mode: str = "auto", seed: int = 0,
         basis: SubspaceBasis | None = None) -> float:
     """Largest entry magnitude over unit-spectral-norm nullspace-intersection elements.
@@ -239,7 +214,7 @@ def tau(routing, mask: SamplingMask, mode: str = "auto", seed: int = 0,
     if d == 0:
         return 0.0
     if mode == "auto":
-        mode = "exact" if d <= 3 else "lower_bound"
+        mode = tau_mode(d)
     if mode == "exact" and d > 3:
         raise SizeGuardError(f"exact mode supports dimension <= 3, got {d}")
     if mode not in ("exact", "lower_bound"):
@@ -388,7 +363,10 @@ def k_per_column(support, periods: int) -> int:
 
 
 def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) -> dict:
-    """All subspace measures needed by the recovery checker, as a dict."""
+    """All subspace measures needed by the recovery checker, as a dict.
+
+    `tau_mode` says whether `tau` is exact or only a lower bound.
+    """
     F, T = bundle.shape
     _check_size(F, T)
     omega = omega_basis(bundle.support, (F, T))
@@ -412,6 +390,7 @@ def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) ->
         "gamma_u": g_u,
         "gamma_v": g_v,
         "tau": tau(routing, mask, mode="auto", basis=inter),
+        "tau_mode": tau_mode(inter.dim),
         "k_max_col": k_per_column(bundle.support, T),
         "null_intersection_dim": inter.dim,
     }

@@ -45,6 +45,7 @@ from .fileio import (
 )
 from .mm import MmConfig, mm_solve
 from .model import (
+    DivergenceError,
     Observations,
     RoutingMatrix,
     SamplingMask,
@@ -474,8 +475,8 @@ def _phase_cell(cfg: ExperimentConfig, rank: int, count: int, seed: int, lam_gri
             )
             try:
                 X, A, _ = admm_solve_p2(obs, routing, admm_cfg)
-            except Exception:
-                continue  # per-cell failures are recorded as missing, not fatal
+            except DivergenceError:
+                continue  # a diverged lambda is skipped; other errors propagate
             _, _, e_sum = relative_errors(TrafficMatrices(X, A), truth)
             best = min(best, e_sum)
         total += best if np.isfinite(best) else 1.0
@@ -731,7 +732,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
             m["gamma"], m["k_max_col"], mu_npi_omega=m["mu_npi_omega"],
             null_intersection_dim=m["null_intersection_dim"],
         )
-        for key in ("alpha", "beta", "xi", "nu", "eta", "tau", "gamma",
+        for key in ("alpha", "beta", "xi", "nu", "eta", "tau", "tau_mode", "gamma",
                     "k_max_col", "null_intersection_dim"):
             out[key] = m[key]
         out["chi"] = rep.chi

@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import (
     Observations,
@@ -237,15 +236,18 @@ def gen_bursty_anomalies(flows: int, periods: int, bp: BurstParams, seed: int) -
     if not rows:
         return out
     m = len(rows)
-    # AR(1) Gaussian part, started from c_0 = 0.
     innovations = rng.standard_normal((m, periods))
-    c = lfilter([bp.sigma_n], [1.0, -bp.theta], innovations, axis=1)
-    # Correlated Bernoulli burst chain.
     d = rng.random((m, periods)) < bp.alpha
     e = rng.random((m, periods)) < bp.nu
     b_prev = rng.random(m) < bp.nu
+    # AR(1) Gaussian part c, started from c_0 = 0, and the correlated
+    # Bernoulli burst chain b.
+    c = np.empty((m, periods))
+    c_prev = np.zeros(m)
     b = np.empty((m, periods), dtype=bool)
     for t in range(periods):
+        c_prev = bp.sigma_n * innovations[:, t] + bp.theta * c_prev
+        c[:, t] = c_prev
         b_prev = np.where(d[:, t], b_prev, e[:, t])
         b[:, t] = b_prev
     out[rows, :] = bp.gamma_f * b * c

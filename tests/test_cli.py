@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import trafficmaps.diagnostics as diagnostics
 import trafficmaps.pipelines as pipelines
 from trafficmaps.cli import main
 from trafficmaps.fileio import read_manifest, read_matrix, read_pgm
+from trafficmaps.model import DivergenceError
 from trafficmaps.pipelines import (
     ExperimentConfig,
     cmd_burst_compare,
@@ -172,6 +175,38 @@ class TestPhaseGrid:
         # low-rank/low-sparsity corner recovers; grayscale mapping agrees
         assert errors[0, 0] < 1e-3
         assert img[0, 0] == 255
+
+    TINY_GRID = {
+        "seed": 7,
+        "synth.nodes": 10, "synth.radius": 0.6, "synth.flows": 20,
+        "synth.periods": 20, "synth.sample_prob": 0.4, "synth.paths": 2,
+        "phase.ranks": "1", "phase.sparsity_counts": "4",
+        "phase.lam_grid": 3, "phase.lam_lo": 0.3, "phase.lam_hi": 3.0,
+        "phase.seeds": 1, "solver.max_iters": 500,
+    }
+
+    def test_solver_bug_propagates(self, tmp_path, monkeypatch):
+        def broken(obs, routing, cfg):
+            raise ValueError("solver bug")
+
+        monkeypatch.setattr(pipelines, "admm_solve_p2", broken)
+        with pytest.raises(ValueError, match="solver bug"):
+            cmd_phase_grid(ExperimentConfig(self.TINY_GRID), str(tmp_path / "g"))
+
+    def test_diverged_lambda_is_skipped(self, tmp_path, monkeypatch):
+        real = pipelines.admm_solve_p2
+        lams = []
+
+        def first_diverges(obs, routing, cfg):
+            lams.append(cfg.lam)
+            if len(lams) == 1:
+                raise DivergenceError("diverged", iteration=0)
+            return real(obs, routing, cfg)
+
+        monkeypatch.setattr(pipelines, "admm_solve_p2", first_diverges)
+        errors = cmd_phase_grid(ExperimentConfig(self.TINY_GRID), str(tmp_path / "g"))
+        assert len(lams) == 3  # the cell went on to the other lambdas
+        assert errors[0, 0] < 1e-3
 
     def test_gray_mapping(self):
         err = np.array([[0.005, 0.01], [1.0, 2.0]])
@@ -356,6 +391,8 @@ class TestDiagnoseCommand:
         report = read_manifest(tmp_path / "diag" / "diagnose.txt")
         assert ("certificate_error" not in report) == identifiable
         assert "alpha" in report
+        dim = int(report["null_intersection_dim"])
+        assert report["tau_mode"] == ("exact" if dim <= 3 else "lower_bound")
         assert len(calls) == 1
 
     def test_size_guard_exit_code_with_partial_report(self, tmp_path):
@@ -387,9 +424,19 @@ class TestDiagnoseCommand:
         report = read_manifest(out / "diagnose.txt")
         assert float(report["tau"]) == 0.0
         assert int(report["null_intersection_dim"]) == 0
+        assert report["tau_mode"] == "exact"
 
 
 class TestCliPlumbing:
+    def test_import_leaves_out_signal_and_stats(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pipelines.__file__)))
+        code = ("import sys, trafficmaps.cli; "
+                "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_seed_override(self, tmp_path):
         cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH)
         out1, out2 = tmp_path / "a", tmp_path / "b"

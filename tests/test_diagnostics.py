@@ -138,6 +138,25 @@ class TestMu:
         other = omega_basis({(0, 0)}, (3, 3))
         assert mu(empty, other) == 0.0
 
+    @pytest.mark.parametrize("seed", [3, 4, 5, 7])
+    def test_xi_is_exact_hidden_tangent_cosine(self, seed):
+        # 20x20, rank 2, a quarter sampled: xi is within 5e-4 of 1, where an
+        # iterative estimate stops short.  sigma_max(P_Npi P_Phi)^2 is the top
+        # eigenvalue of P_Phi restricted to the hidden coordinates.
+        X0 = gen_lowrank_traffic(20, 20, 2, seed + 3)
+        mask = gen_mask(20, 20, 0.25, seed + 5)
+        b = subspace_bundle(X0, np.zeros((20, 20)))
+        f, t = np.nonzero(~mask.mask)
+        Pu = (b.U0 @ b.U0.T)[np.ix_(f, f)]
+        Pv = (b.V0 @ b.V0.T)[np.ix_(t, t)]
+        G = Pu * (t[:, None] == t) + (f[:, None] == f) * Pv - Pu * Pv
+        exact = np.sqrt(np.linalg.eigvalsh(G)[-1])
+        assert abs(mu(nullspace_Pi_basis(mask), phi_basis(b)) - exact) <= 1e-12
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            mu(omega_basis({(0, 0)}, (3, 3)), omega_basis({(0, 0)}, (3, 4)))
+
 
 class TestGammas:
     def test_spiky_column_space(self):
@@ -342,8 +361,15 @@ class TestDualCertificate:
         R, X0, A0, mask, _ = tiny_instance(3)
         bundle = subspace_bundle(X0, A0)
         m = measure_incoherences(R, mask, bundle)
-        for key in ("alpha", "beta", "xi", "nu", "eta", "tau", "gamma",
+        for key in ("alpha", "beta", "xi", "nu", "eta", "tau", "tau_mode", "gamma",
                     "k_max_col", "mu_npi_omega", "null_intersection_dim"):
             assert key in m
+        assert m["tau_mode"] == ("exact" if m["null_intersection_dim"] <= 3 else "lower_bound")
         assert 0.0 <= m["alpha"] <= 1.0
         assert m["k_max_col"] == k_per_column(bundle.support, 8)
+
+    def test_tau_mode_lower_bound_above_three_dimensions(self):
+        R, X0, A0, mask, _ = tiny_instance(3, pi=0.3)
+        m = measure_incoherences(R, mask, subspace_bundle(X0, A0))
+        assert m["null_intersection_dim"] == 5
+        assert m["tau_mode"] == "lower_bound"

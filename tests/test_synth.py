@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from trafficmaps.synth import (
     BurstParams,
@@ -178,6 +179,21 @@ class TestBurstyAnomalies:
     def test_invalid_theta(self):
         with pytest.raises(ValueError):
             self.params(theta=1.0)
+
+    def test_ar1_part_matches_lfilter(self):
+        # alpha = nu = 1 keeps every burst on and gamma_f = 1 leaves the AR(1)
+        # part c itself, drawn from the first standard normals of the seed.
+        rng = np.random.default_rng(1000)
+        for seed in range(20):
+            m, T = int(rng.integers(1, 6)), int(rng.integers(1, 200))
+            theta, sigma_n = float(rng.uniform(-0.999, 0.999)), float(rng.uniform(0.0, 3.0))
+            bp = self.params(gamma_f=1.0, theta=theta, sigma_n=sigma_n, alpha=1.0, nu=1.0,
+                             anomalous_flows=tuple(range(m)))
+            A = gen_bursty_anomalies(m + 1, T, bp, seed)
+            innovations = np.random.default_rng(seed).standard_normal((m, T))
+            expected = lfilter([sigma_n], [1.0, -theta], innovations, axis=1)
+            assert np.array_equal(A[:m], expected)
+            assert not A[m].any()
 
 
 class TestMasks:
