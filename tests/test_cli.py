@@ -391,8 +391,6 @@ class TestDiagnoseCommand:
         report = read_manifest(tmp_path / "diag" / "diagnose.txt")
         assert ("certificate_error" not in report) == identifiable
         assert "alpha" in report
-        dim = int(report["null_intersection_dim"])
-        assert report["tau_mode"] == ("exact" if dim <= 3 else "lower_bound")
         assert len(calls) == 1
 
     def test_size_guard_exit_code_with_partial_report(self, tmp_path):
