@@ -52,32 +52,13 @@ def _is_diagonal_row(row: np.ndarray) -> bool:
     return row.size > 0 and row[0] > 0 and np.abs(row[1:]).max(initial=0.0) == 0.0
 
 
-class _BlockSolver:
-    """Solves against one conditioned Toeplitz block; diagonal fast path."""
-
-    def __init__(self, first_row: np.ndarray, floor: float = 1e-6):
-        if _is_diagonal_row(first_row):
-            self.diag = float(first_row[0])
-            self.chol = None
-            self.inv_norm = 1.0 / self.diag
-        else:
-            block = condition_pd(toeplitz(first_row), floor)
-            self.diag = None
-            self.chol = cho_factor(block)
-            self.inv_norm = 1.0 / np.linalg.eigvalsh(block)[0]
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        if self.diag is not None:
-            return v / self.diag
-        return cho_solve(self.chol, v)
-
-
 @dataclass(frozen=True)
 class CorrelationSet:
     """R_L, R_Q, and per-flow Toeplitz first rows for the anomaly blocks.
 
     `anomaly_blocks[f]` is a pair (row_b, row_c) of length-T first rows; the
-    solver-facing block matrices are PD-conditioned on first use.
+    solver-facing block matrices are PD-conditioned and factored on first use,
+    once per distinct first row.
     """
 
     R_L: np.ndarray
@@ -158,11 +139,26 @@ class CorrelationSet:
     def solve_RQ(self, M: np.ndarray) -> np.ndarray:
         return cho_solve(self._chol("chol_RQ", self.R_Q), M)
 
-    def _block_solvers(self, which: str) -> list[_BlockSolver]:
-        key = f"solvers_{which}"
+    def _prior_groups(self, which: str) -> list:
+        """(flows, factor, inv_norm) for each distinct first row of the b or c
+        priors.  The factor is the value of a diagonal row and the Cholesky
+        factor of the PD-conditioned Toeplitz block otherwise; inv_norm is the
+        spectral norm of the block's inverse."""
+        key = f"groups_{which}"
         if key not in self._cache:
-            idx = 0 if which == "b" else 1
-            self._cache[key] = [_BlockSolver(pair[idx]) for pair in self.anomaly_blocks]
+            rows = [pair[0 if which == "b" else 1] for pair in self.anomaly_blocks]
+            flows_by_row: dict = {}
+            for f, row in enumerate(rows):
+                flows_by_row.setdefault(row.tobytes(), []).append(f)
+            groups = []
+            for flows in flows_by_row.values():
+                row = rows[flows[0]]
+                if _is_diagonal_row(row):
+                    groups.append((flows, float(row[0]), 1.0 / float(row[0])))
+                else:
+                    block = condition_pd(toeplitz(row))
+                    groups.append((flows, cho_factor(block), 1.0 / np.linalg.eigvalsh(block)[0]))
+            self._cache[key] = groups
         return self._cache[key]
 
     def _solve_rows(self, M: np.ndarray, which: str) -> np.ndarray:
@@ -170,8 +166,11 @@ class CorrelationSet:
         if M.shape != (self.n_flows, self.n_periods):
             raise ValueError("matrix must be flows-by-periods")
         out = np.empty_like(M)
-        for f, solver in enumerate(self._block_solvers(which)):
-            out[f] = solver.solve(M[f])
+        for flows, factor, _ in self._prior_groups(which):
+            if isinstance(factor, float):
+                out[flows] = M[flows] / factor
+            else:
+                out[flows] = cho_solve(factor, M[flows].T).T
         return out
 
     def solve_RB(self, M: np.ndarray) -> np.ndarray:
@@ -197,11 +196,11 @@ class CorrelationSet:
 
     @property
     def inv_norm_RB(self) -> float:
-        return max(s.inv_norm for s in self._block_solvers("b"))
+        return max(inv_norm for _, _, inv_norm in self._prior_groups("b"))
 
     @property
     def inv_norm_RC(self) -> float:
-        return max(s.inv_norm for s in self._block_solvers("c"))
+        return max(inv_norm for _, _, inv_norm in self._prior_groups("c"))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ every pipeline is deterministic given its configuration and seed.
 from __future__ import annotations
 
 import os
+import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -411,6 +412,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
     start = time.perf_counter()
     X, A, extras, report = run_solver(kind, obs, routing, cfg, link_mask=link_mask)
     wall = time.perf_counter() - start
+    if not report.converged:
+        print(f"warning: solver {kind} did not converge in {report.iterations} iterations",
+              file=sys.stderr)
 
     os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "X_hat.csv"), X)
@@ -445,10 +449,13 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
     return metrics
 
 
-def _phase_cell(cfg: ExperimentConfig, rank: int, count: int, seed: int, lam_grid) -> float:
-    """Best e_{x+a} over the lambda grid for one (rank, sparsity) cell."""
+def _phase_cell(cfg: ExperimentConfig, rank: int, count: int, seed: int,
+                lam_grid) -> tuple[float, int]:
+    """Best e_{x+a} over the lambda grid for one (rank, sparsity) cell, and the
+    number of lambda solves that diverged."""
     reps = cfg.get("phase.seeds")
     total = 0.0
+    diverged = 0
     for rep in range(reps):
         cell_seed = seed + rep
         topo = connected_topology(cfg.get("synth.nodes"), cfg.get("synth.radius"), cell_seed)
@@ -476,11 +483,24 @@ def _phase_cell(cfg: ExperimentConfig, rank: int, count: int, seed: int, lam_gri
             try:
                 X, A, _ = admm_solve_p2(obs, routing, admm_cfg)
             except DivergenceError:
-                continue  # a diverged lambda is skipped; other errors propagate
+                diverged += 1  # a diverged lambda is skipped; other errors propagate
+                continue
             _, _, e_sum = relative_errors(TrafficMatrices(X, A), truth)
             best = min(best, e_sum)
         total += best if np.isfinite(best) else 1.0
-    return total / reps
+    return total / reps, diverged
+
+
+def _map_quietly(work, items, threads: int) -> list:
+    """[work(item) for item in items] on `threads` worker threads (serially for
+    1), with warnings ignored.  catch_warnings swaps process-wide state and is
+    not thread-safe, so it is entered once here, in the calling thread."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if threads <= 1:
+            return [work(item) for item in items]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, items))
 
 
 def phase_error_to_gray(err: np.ndarray) -> np.ndarray:
@@ -512,18 +532,12 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.
     def work(cell):
         i, j, r, s = cell
         cell_seed = seed + 1000 * (i * len(counts) + j)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return i, j, _phase_cell(cfg, r, s, cell_seed, lam_grid)
+        return i, j, _phase_cell(cfg, r, s, cell_seed, lam_grid)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, j, val in pool.map(work, cells):
-                errors[i, j] = val
-    else:
-        for cell in cells:
-            i, j, val = work(cell)
-            errors[i, j] = val
+    diverged = 0
+    for i, j, (val, n_diverged) in _map_quietly(work, cells, threads):
+        errors[i, j] = val
+        diverged += n_diverged
 
     os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "phase_grid.csv"), errors)
@@ -535,6 +549,7 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.
             "sparsity_counts": ",".join(str(s) for s in counts),
             "lambda_grid": ",".join(f"{v:.6e}" for v in lam_grid),
             "white_cells": int((errors <= 0.01).sum()),
+            "diverged_lambdas": diverged,
         },
     )
     write_runrecord(
@@ -562,9 +577,7 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
             F = cfg.get("synth.flows")
             T = cfg.get("synth.periods")
             od = choose_od_pairs(topo, F, rep_seed + 1)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                routing = build_routing(topo, od, cfg.get("synth.paths"), rep_seed + 2)
+            routing = build_routing(topo, od, cfg.get("synth.paths"), rep_seed + 2)
             X0 = gen_lowrank_traffic(F, T, cfg.get("synth.rank"), rep_seed + 3)
             A0 = gen_sparse_anomalies(F, T, cfg.get("synth.anomaly_prob"), rep_seed + 4)
             mask = gen_mask(F, T, pi, rep_seed + 100 * (idx + 1))
@@ -578,14 +591,8 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
     rows = np.zeros((len(pis), 3))
     rows[:, 0] = pis
     items = list(enumerate(pis))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, ex, ea in pool.map(work, items):
-                rows[idx, 1:] = (ex, ea)
-    else:
-        for item in items:
-            idx, ex, ea = work(item)
-            rows[idx, 1:] = (ex, ea)
+    for idx, ex, ea in _map_quietly(work, items, threads):
+        rows[idx, 1:] = (ex, ea)
 
     os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "netflow_sweep.csv"), rows)

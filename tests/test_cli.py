@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ class TestSolveCommand:
         # trace-equalized identity priors is absorbed at the optimum.
         assert obj5 == pytest.approx(obj1, rel=1e-4)
 
+    def test_non_convergence_warns_and_exits_0(self, tmp_path, scenario_dir, capsys):
+        cfg = write_cfg(
+            tmp_path / "solve.txt",
+            f"io.scenario={scenario_dir}\nsolver.kind=p2\nsolver.max_iters=1\n",
+        )
+        out = tmp_path / "sol"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "did not converge" in err
+        assert read_manifest(out / "report.txt")["converged"] == "False"
+
     def test_missing_mask_file_clean_error(self, tmp_path, scenario_dir):
         os.remove(scenario_dir / "mask.csv")
         cfg = write_cfg(tmp_path / "solve.txt", f"io.scenario={scenario_dir}\n")
@@ -207,6 +219,18 @@ class TestPhaseGrid:
         errors = cmd_phase_grid(ExperimentConfig(self.TINY_GRID), str(tmp_path / "g"))
         assert len(lams) == 3  # the cell went on to the other lambdas
         assert errors[0, 0] < 1e-3
+        meta = read_manifest(tmp_path / "g" / "phase_meta.txt")
+        assert meta["diverged_lambdas"] == "1"
+
+    def test_threaded_runs_leave_warning_filters_alone(self, tmp_path):
+        cfg = dict(self.TINY_GRID, **{
+            "phase.ranks": "1,2", "phase.sparsity_counts": "2,4",
+            "phase.lam_grid": 1, "solver.max_iters": 20,
+        })
+        before = list(warnings.filters)
+        for k in range(10):
+            cmd_phase_grid(ExperimentConfig(cfg), str(tmp_path / f"g{k}"), threads=2)
+            assert warnings.filters == before
 
     def test_gray_mapping(self):
         err = np.array([[0.005, 0.01], [1.0, 2.0]])

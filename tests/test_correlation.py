@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from trafficmaps.correlation import (
     CorrelationSet,
@@ -313,6 +313,31 @@ class TestCorrelationSet:
         dense = condition_pd(toeplitz(row))
         expected = np.linalg.solve(dense, M.T).T
         assert np.allclose(cs.solve_RB(M), expected, atol=1e-10)
+
+    def test_grouped_prior_solves_match_per_row(self):
+        # Three distinct Toeplitz rows plus one diagonal row, interleaved.
+        rng = np.random.default_rng(14)
+        T = 7
+        diag = np.zeros(T)
+        diag[0] = 2.5
+        distinct = [0.7 ** np.arange(T), 0.3 ** np.arange(T), (-0.5) ** np.arange(T), diag]
+        order = [0, 1, 2, 3, 0, 2, 1, 0, 3]
+        rows = [distinct[k] for k in order]
+        F = len(rows)
+        blocks = tuple((r, distinct[(k + 1) % 4]) for r, k in zip(rows, order))
+        cs = CorrelationSet(np.eye(F) * (T / F), np.eye(T), blocks)
+        M = rng.standard_normal((F, T))
+
+        def per_row(row, v):
+            return cho_solve(cho_factor(condition_pd(toeplitz(row))), v)
+
+        for solve, idx in ((cs.solve_RB, 0), (cs.solve_RC, 1)):
+            got = solve(M)
+            for f in range(F):
+                expected = per_row(blocks[f][idx], M[f])
+                assert np.allclose(got[f], expected, rtol=1e-12, atol=1e-12)
+        inv_norms = [1.0 / np.linalg.eigvalsh(condition_pd(toeplitz(r)))[0] for r in distinct]
+        assert cs.inv_norm_RB == pytest.approx(max(inv_norms), rel=1e-12)
 
     def test_non_pd_rejected(self):
         row = np.zeros(2)
