@@ -15,13 +15,12 @@ term, which a per-estimator fit step supplies as targets for O + B:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import DivergenceError, Observations, project_sampling, routing_entries
+from .model import DivergenceError, Observations, SolverReport, project_sampling, routing_entries
 
 
 @dataclass
@@ -61,32 +60,6 @@ class AdmmConfig:
             self.tol_primal if self.tol_primal is not None else base,
             self.tol_dual if self.tol_dual is not None else base,
         )
-
-
-@dataclass
-class AdmmState:
-    """Primal/dual iterates of the splitting, exposed for inspection."""
-
-    X: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    O: np.ndarray
-    M_y: np.ndarray
-    M_z: np.ndarray
-    M_a: np.ndarray
-    M_x: np.ndarray
-    iteration: int = 0
-    residuals: dict = field(default_factory=dict)
-
-
-@dataclass
-class ConvergenceReport:
-    converged: bool
-    iterations: int
-    residuals: dict
-    objective: float | None = None
-    wall_time: float = 0.0
-    state: "AdmmState | None" = None
 
 
 def soft_threshold(M, tau: float):
@@ -267,8 +240,8 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
     """The splitting loop shared by p1, p2 and p6.
 
     Minimizes nuclear*||X||_* + l1*||A||_1 + weight * (fit of O + B to the fit
-    step's targets) subject to O = X and B = A.  Returns the final iterates
-    X, A, B, O, M_a, M_x by name and a report without objective or state.
+    step's targets) subject to O = X and B = A.  Returns the final X, A and a
+    report without objective.
     """
     mask = obs.mask.mask
     c = cfg.c
@@ -280,7 +253,6 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
 
     X, A, B, O, M_a, M_x = (np.zeros(mask.shape) for _ in range(6))
     hist: dict = {}
-    start = time.perf_counter()
     converged = False
     k = 0
     for k in range(cfg.max_iters):
@@ -305,9 +277,7 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
         if max(*residuals.values(), r_ba, r_ox) < tol_primal and delta < tol_dual:
             converged = True
             break
-    report = ConvergenceReport(converged=converged, iterations=k + 1, residuals=hist,
-                               wall_time=time.perf_counter() - start)
-    return dict(X=X, A=A, B=B, O=O, M_a=M_a, M_x=M_x), report
+    return X, A, SolverReport(converged=converged, iterations=k + 1, residuals=hist)
 
 
 def admm_solve_p2(obs: Observations, routing, cfg: AdmmConfig | None = None):
@@ -319,11 +289,7 @@ def admm_solve_p2(obs: Observations, routing, cfg: AdmmConfig | None = None):
     cfg = cfg or AdmmConfig()
     R = routing_entries(routing)
     lam = cfg.lam if cfg.lam is not None else default_lambda(*obs.flow_counts.shape)
-    fit = _Multipliers(R, obs, cfg.c)
-    iterates, report = _split(obs, R, cfg, fit, weight=cfg.c, nuclear=1.0, l1=lam)
-    report.state = AdmmState(**iterates, M_y=fit.M_y, M_z=fit.M_z,
-                             iteration=report.iterations, residuals=report.residuals)
-    return iterates["X"], iterates["A"], report
+    return _split(obs, R, cfg, _Multipliers(R, obs, cfg.c), weight=cfg.c, nuclear=1.0, l1=lam)
 
 
 def p1_objective(X, A, obs: Observations, routing, lambda_star: float, lambda_1: float) -> float:
@@ -342,11 +308,10 @@ def admm_solve_p1(obs: Observations, routing, cfg: AdmmConfig | None = None):
     """Penalized estimator: quadratic data fit plus nuclear and l1 penalties."""
     cfg = cfg or AdmmConfig()
     R = routing_entries(routing)
-    iterates, report = _split(obs, R, cfg, _FixedTargets(R, obs), weight=1.0,
-                              nuclear=cfg.lambda_star, l1=cfg.lambda_1)
-    X, A = iterates["X"], iterates["A"]
-    report.objective = p1_objective(X, A, obs, routing, cfg.lambda_star, cfg.lambda_1)
-    return X, A, report
+    X, A, report = _split(obs, R, cfg, _FixedTargets(R, obs), weight=1.0,
+                          nuclear=cfg.lambda_star, l1=cfg.lambda_1)
+    objective = p1_objective(X, A, obs, routing, cfg.lambda_star, cfg.lambda_1)
+    return X, A, replace(report, objective=objective)
 
 
 def p6_objective(X, A, O_y, O_z, obs: Observations, routing, link_mask, cfg: AdmmConfig) -> float:
@@ -377,8 +342,7 @@ def admm_solve_p6(obs: Observations, routing, cfg: AdmmConfig | None = None,
         if link_mask.shape != obs.link_counts.shape:
             raise ValueError("link mask must match link counts")
     fit = _Outliers(R, obs, cfg, link_mask)
-    iterates, report = _split(obs, R, cfg, fit, weight=1.0, nuclear=cfg.lambda_star,
-                              l1=cfg.lambda_1, link_mask=link_mask)
-    X, A = iterates["X"], iterates["A"]
-    report.objective = p6_objective(X, A, fit.O_y, fit.O_z, obs, routing, link_mask, cfg)
-    return X, A, fit.O_y, fit.O_z, report
+    X, A, report = _split(obs, R, cfg, fit, weight=1.0, nuclear=cfg.lambda_star,
+                          l1=cfg.lambda_1, link_mask=link_mask)
+    objective = p6_objective(X, A, fit.O_y, fit.O_z, obs, routing, link_mask, cfg)
+    return X, A, fit.O_y, fit.O_z, replace(report, objective=objective)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth, solve, phase-grid, netflow-sweep, burst-compare, diagnose.
-Exit codes: 0 success, 2 configuration/parse error, 3 solver divergence,
-4 size guard exceeded.
+Exit codes: 0 success, 2 configuration/parse error or an all-zero ground
+truth, 3 solver divergence, 4 size guard exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from .diagnostics import SizeGuardError
 from .fileio import ConfigError, ParseError, parse_config
-from .model import DivergenceError
+from .model import DegenerateTruthError, DivergenceError
 from .pipelines import (
     ExperimentConfig,
     cmd_burst_compare,
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
             cmd_burst_compare(cfg, args.out)
         elif args.command == "diagnose":
             cmd_diagnose(cfg, args.out)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, DegenerateTruthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:

@@ -9,13 +9,12 @@ update is therefore non-increasing in the objective.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .correlation import CorrelationSet
-from .model import DivergenceError, Observations, routing_entries
+from .model import DivergenceError, Observations, SolverReport, routing_entries
 
 _BLOCKS = ("L", "Q", "B", "C")
 
@@ -74,16 +73,6 @@ class MmConfig:
             raise ValueError("penalty weights must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-
-
-@dataclass
-class MmReport:
-    converged: bool
-    iterations: int
-    objectives: list
-    grad_norms: dict = field(default_factory=dict)
-    restarts: int = 0
-    wall_time: float = 0.0
 
 
 def power_norm_sym(apply_fn, dim: int) -> float:
@@ -238,9 +227,8 @@ def mm_solve(obs: Observations, routing, corr: CorrelationSet,
     """Run the alternating MM scheme to a stationary point.
 
     Returns (X_hat, A_hat, report); the report carries the monotone objective
-    trajectory and the final block-gradient norms.  With `accelerate` the
-    iterate is extrapolated Nesterov-style and restarted whenever the
-    objective would increase.
+    trajectory.  With `accelerate` the iterate is extrapolated Nesterov-style
+    and restarted whenever the objective would increase.
     """
     cfg = cfg or MmConfig()
     F, T = obs.flow_counts.shape
@@ -252,7 +240,6 @@ def mm_solve(obs: Observations, routing, corr: CorrelationSet,
     t_acc = 1.0
     restarts = 0
     converged = False
-    start = time.perf_counter()
     iteration = 0
     for iteration in range(1, cfg.max_iters + 1):
         if cfg.accelerate and iteration > 1:
@@ -277,16 +264,6 @@ def mm_solve(obs: Observations, routing, corr: CorrelationSet,
             obj = cand_obj
             break
         obj = cand_obj
-    grad_norms = {
-        b: float(np.linalg.norm(block_gradient(b, state, obs, routing, corr, cfg)))
-        for b in _BLOCKS
-    }
-    report = MmReport(
-        converged=converged,
-        iterations=iteration,
-        objectives=objectives,
-        grad_norms=grad_norms,
-        restarts=restarts,
-        wall_time=time.perf_counter() - start,
-    )
+    report = SolverReport(converged=converged, iterations=iteration, objectives=objectives,
+                          objective=objectives[-1], restarts=restarts)
     return state.nominal(), state.anomalies(), report

@@ -8,7 +8,7 @@ float64 arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,24 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
+
+
+@dataclass(frozen=True)
+class SolverReport:
+    """How a solve ended, for the ADMM and MM solvers alike.
+
+    `residuals` holds ADMM's per-iteration norms by name and `objectives` the
+    MM objective trajectory; each stays empty for the other family.
+    `objective` is the final objective value, None where the solver has none
+    (p2).  `restarts` counts rejected MM extrapolations.
+    """
+
+    converged: bool
+    iterations: int
+    residuals: dict = field(default_factory=dict)
+    objectives: list = field(default_factory=list)
+    objective: float | None = None
+    restarts: int = 0
 
 
 def _frozen_array(a, dtype=np.float64) -> np.ndarray:
@@ -66,12 +84,6 @@ class Topology:
     @property
     def link_count(self) -> int:
         return len(self.links)
-
-    def in_links(self, node: int) -> list[int]:
-        return [i for i, (_, b) in enumerate(self.links) if b == node]
-
-    def out_links(self, node: int) -> list[int]:
-        return [i for i, (a, _) in enumerate(self.links) if a == node]
 
 
 @dataclass(frozen=True)
@@ -299,7 +311,9 @@ def relative_errors(estimate: TrafficMatrices, truth: TrafficMatrices):
     nx = np.linalg.norm(truth.nominal)
     na = np.linalg.norm(truth.anomalies)
     if nx == 0.0 or na == 0.0:
-        raise DegenerateTruthError("truth matrices must be nonzero for relative errors")
+        which = "nominal" if nx == 0.0 else "anomaly"
+        raise DegenerateTruthError(f"the true {which} matrix is all zero, so its relative "
+                                   "error is undefined")
     e_x = float(np.linalg.norm(estimate.nominal - truth.nominal) / nx)
     e_a = float(np.linalg.norm(estimate.anomalies - truth.anomalies) / na)
     return e_x, e_a, e_x + e_a

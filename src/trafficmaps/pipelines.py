@@ -313,36 +313,20 @@ def load_scenario(scenario_dir: str) -> tuple[RoutingMatrix, Observations, Traff
 # ---------------------------------------------------------------------------
 # Run records
 
-@dataclass
-class RunRecord:
-    """Reproducibility record: config snapshot, seed, metrics, cost, version."""
-
-    config: dict
-    seed: int
-    metrics: dict
-    iterations: int | None = None
-    wall_time: float = 0.0
-    version: str = __version__
-
-    def entries(self) -> dict:
-        record = {f"cfg.{k}": v for k, v in self.config.items()}
-        record.update({
-            f"metric.{k}": f"{v:.12e}" if isinstance(v, float) else v
-            for k, v in self.metrics.items()
-        })
-        record["seed"] = self.seed
-        if self.iterations is not None:
-            record["iterations"] = self.iterations
-        record["wall_time_s"] = f"{self.wall_time:.3f}"
-        record["version"] = self.version
-        return record
-
-
 def write_runrecord(path: str, cfg: ExperimentConfig, seed: int, metrics: dict,
                     iterations=None, wall_time: float = 0.0):
-    record = RunRecord(config=cfg.snapshot(), seed=seed, metrics=metrics,
-                       iterations=iterations, wall_time=wall_time)
-    write_manifest(path, record.entries())
+    """Reproducibility record: config snapshot, seed, metrics, cost, version."""
+    record = {f"cfg.{k}": v for k, v in cfg.snapshot().items()}
+    record.update({
+        f"metric.{k}": f"{v:.12e}" if isinstance(v, float) else v
+        for k, v in metrics.items()
+    })
+    record["seed"] = seed
+    if iterations is not None:
+        record["iterations"] = iterations
+    record["wall_time_s"] = f"{wall_time:.3f}"
+    record["version"] = __version__
+    write_manifest(path, record)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +410,10 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
         "converged": report.converged,
         "iterations": report.iterations,
     }
-    if getattr(report, "objective", None) is not None:
+    if report.objective is not None:
         report_entries["objective"] = f"{report.objective:.12e}"
-    if hasattr(report, "objectives"):
-        report_entries["objective"] = f"{report.objectives[-1]:.12e}"
-    if hasattr(report, "residuals"):
-        for key, vals in report.residuals.items():
-            if vals:
-                report_entries[f"residual.{key}"] = f"{vals[-1]:.6e}"
+    for key, vals in report.residuals.items():
+        report_entries[f"residual.{key}"] = f"{vals[-1]:.6e}"
     write_manifest(os.path.join(out_dir, "report.txt"), report_entries)
 
     metrics: dict = {}

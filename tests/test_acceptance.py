@@ -41,19 +41,16 @@ from trafficmaps.model import (
 )
 from trafficmaps.pipelines import (
     ExperimentConfig,
+    build_scenario,
     cmd_burst_compare,
     cmd_netflow_sweep,
     cmd_phase_grid,
-    connected_topology,
 )
 from trafficmaps.synth import (
     BurstParams,
-    build_routing,
-    choose_od_pairs,
     gen_bursty_anomalies,
     gen_lowrank_traffic,
     gen_mask,
-    gen_sparse_anomalies,
     observe,
 )
 
@@ -65,16 +62,15 @@ def report(number, passed, detail):
 
 def standard_scenario(seed, F, T, rho, p, paths, pi, nodes=15, radius=0.5,
                       sigma_v=0.0, sigma_w=0.0):
-    topo = connected_topology(nodes, radius, seed)
-    od = choose_od_pairs(topo, F, seed + 1)
+    cfg = ExperimentConfig({
+        "synth.nodes": nodes, "synth.radius": radius, "synth.flows": F, "synth.periods": T,
+        "synth.rank": rho, "synth.anomaly_prob": p, "synth.paths": paths,
+        "synth.sample_prob": pi, "synth.noise_link": sigma_v, "synth.noise_flow": sigma_w,
+    })
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        routing = build_routing(topo, od, paths, seed + 2)
-    X0 = gen_lowrank_traffic(F, T, rho, seed + 3)
-    A0 = gen_sparse_anomalies(F, T, p, seed + 4)
-    mask = gen_mask(F, T, pi, seed + 5)
-    obs = observe(routing, X0, A0, mask, sigma_v=sigma_v, sigma_w=sigma_w, seed=seed + 6)
-    return routing, TrafficMatrices(X0, A0), obs
+        s = build_scenario(cfg, seed)
+    return s.routing, s.truth, s.obs
 
 
 def test_criterion_01_exact_recovery():

@@ -17,29 +17,18 @@ from trafficmaps.admm import (
     svt,
 )
 from trafficmaps.model import DivergenceError, Observations, TrafficMatrices, relative_errors
-from trafficmaps.synth import (
-    GeoGraphParams,
-    build_routing,
-    choose_od_pairs,
-    gen_geometric_graph,
-    gen_lowrank_traffic,
-    gen_mask,
-    gen_sparse_anomalies,
-    observe,
-)
+from trafficmaps.pipelines import ExperimentConfig, build_scenario
 
 
 def make_scenario(seed, F=30, T=30, rho=1, p=0.02, K=3, pi=0.4, N=10, d_c=0.6):
-    topo = gen_geometric_graph(GeoGraphParams(N, d_c, seed))
-    od = choose_od_pairs(topo, F, seed + 1)
+    cfg = ExperimentConfig({
+        "synth.nodes": N, "synth.radius": d_c, "synth.flows": F, "synth.periods": T,
+        "synth.rank": rho, "synth.anomaly_prob": p, "synth.paths": K, "synth.sample_prob": pi,
+    })
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r = build_routing(topo, od, K, seed + 2)
-    X0 = gen_lowrank_traffic(F, T, rho, seed + 3)
-    A0 = gen_sparse_anomalies(F, T, p, seed + 4)
-    mask = gen_mask(F, T, pi, seed + 5)
-    obs = observe(r, X0, A0, mask)
-    return r, X0, A0, obs
+        s = build_scenario(cfg, seed)
+    return s.routing, s.truth.nominal, s.truth.anomalies, s.obs
 
 
 class TestSoftThreshold:
@@ -194,17 +183,6 @@ class TestAdmmP2:
         r_y = rep.residuals["r_y"]
         assert r_y[-1] < r_y[0]
         assert max(r_y[-10:]) <= 10 * min(r_y[:10]) + 1e-9
-
-    def test_report_carries_final_state(self):
-        r, _, _, obs = make_scenario(1, F=12, T=10, N=8, d_c=0.7)
-        X, A, rep = admm_solve_p2(obs, r, AdmmConfig(max_iters=200))
-        st = rep.state
-        assert st is not None
-        assert np.array_equal(st.X, X) and np.array_equal(st.A, A)
-        for block in (st.B, st.O, st.M_y, st.M_z, st.M_a, st.M_x):
-            assert np.isfinite(block).all()
-        assert st.M_y.shape == obs.link_counts.shape
-        assert st.iteration == rep.iterations
 
     def test_non_finite_iterate_raises_divergence(self):
         r, _, _, obs = make_scenario(1, F=12, T=10, N=8, d_c=0.7)

@@ -143,6 +143,37 @@ class TestSolveCommand:
         assert err.count("\n") == 1 and "did not converge" in err
         assert read_manifest(out / "report.txt")["converged"] == "False"
 
+    @pytest.mark.parametrize("kind, keys", [
+        ("p1", {"objective", "residual.r_ba", "residual.r_ox", "residual.delta"}),
+        ("p2", {"residual.r_y", "residual.r_z", "residual.r_ba", "residual.r_ox",
+                "residual.delta"}),
+        ("p5", {"objective"}),
+        ("p6", {"objective", "residual.r_ba", "residual.r_ox", "residual.delta"}),
+    ])
+    def test_report_keys(self, tmp_path, scenario_dir, kind, keys):
+        cfg = write_cfg(
+            tmp_path / "solve.txt",
+            f"io.scenario={scenario_dir}\nsolver.kind={kind}\n"
+            "solver.max_iters=50\nsolver.mm_max_iters=50\n",
+        )
+        out = tmp_path / "sol"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        report = read_manifest(out / "report.txt")
+        assert set(report) == {"solver", "converged", "iterations"} | keys
+
+    def test_all_zero_anomalies_exit_2(self, tmp_path, capsys):
+        no_anomalies = SMALL_SYNTH.replace("anomaly_prob=0.02", "anomaly_prob=0")
+        synth = write_cfg(tmp_path / "cfg.txt", no_anomalies)
+        scn = tmp_path / "scn"
+        assert main(["synth", "--config", synth, "--out", str(scn)]) == 0
+        solve = write_cfg(tmp_path / "solve.txt", f"io.scenario={scn}\nsolver.max_iters=50\n")
+        capsys.readouterr()
+        assert main(["solve", "--config", solve, "--out", str(tmp_path / "sol")]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: the true anomaly")
+        sweep = write_cfg(tmp_path / "sweep.txt", no_anomalies +
+                          "netflow.pis=0.5\nnetflow.seeds=1\nsolver.max_iters=50\n")
+        assert main(["netflow-sweep", "--config", sweep, "--out", str(tmp_path / "nf")]) == 2
+
     def test_missing_mask_file_clean_error(self, tmp_path, scenario_dir):
         os.remove(scenario_dir / "mask.csv")
         cfg = write_cfg(tmp_path / "solve.txt", f"io.scenario={scenario_dir}\n")

@@ -22,16 +22,8 @@ from trafficmaps.mm import (
     step_bound,
 )
 from trafficmaps.model import Observations, SamplingMask
-from trafficmaps.synth import (
-    GeoGraphParams,
-    build_routing,
-    choose_od_pairs,
-    gen_geometric_graph,
-    gen_lowrank_traffic,
-    gen_mask,
-    gen_sparse_anomalies,
-    observe,
-)
+from trafficmaps.pipelines import ExperimentConfig, build_scenario
+from trafficmaps.synth import observe
 
 
 def random_corr(F, T, seed):
@@ -287,16 +279,15 @@ class TestMmStep:
 
 
 def equivalence_instance(seed, F=12, T=12, rho=1, p=0.05, K=2, pi=0.5, N=7, d_c=0.7):
-    topo = gen_geometric_graph(GeoGraphParams(N, d_c, seed))
-    od = choose_od_pairs(topo, F, seed + 1)
+    cfg = ExperimentConfig({
+        "synth.nodes": N, "synth.radius": d_c, "synth.flows": F, "synth.periods": T,
+        "synth.rank": rho, "synth.anomaly_prob": p, "synth.paths": K, "synth.sample_prob": pi,
+        "synth.noise_link": 0.01, "synth.noise_flow": 0.01,
+    })
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        r = build_routing(topo, od, K, seed + 2)
-    X0 = gen_lowrank_traffic(F, T, rho, seed + 3)
-    A0 = gen_sparse_anomalies(F, T, p, seed + 4)
-    mask = gen_mask(F, T, pi, seed + 5)
-    obs = observe(r, X0, A0, mask, sigma_v=0.01, sigma_w=0.01, seed=seed + 6)
-    return r, obs
+        s = build_scenario(cfg, seed)
+    return s.routing, s.obs
 
 
 class TestMmSolve:
