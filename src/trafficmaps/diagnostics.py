@@ -3,6 +3,7 @@
 Dense orthonormal bases of the relevant matrix subspaces (routing nullspace,
 sampling nullspace, their intersection, anomaly support, low-rank tangent
 space) feed exact incoherence measures (principal-angle cosines), the
+closed-form tau (the largest row norm of the per-column nullspace bases), the
 closed-form feasible-lambda range, and a numerical dual-certificate
 construction that certifies unique optimality of the constrained estimator on
 a given instance.
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import minimize
 
 from .model import SamplingMask, SubspaceBundle, project_phi, routing_entries
 
@@ -99,19 +99,27 @@ def nullspace_Pi_basis(mask: SamplingMask) -> SubspaceBasis:
     return SubspaceBasis(V, (F, T))
 
 
+def _column_kernels(routing, mask: SamplingMask):
+    """(t, hidden_t, K_t) for each column t with unobserved flows.
+
+    K_t = null_space(R[:, hidden_t]) is an orthonormal basis of the flows that
+    column t of an element of N_R cap N_Pi may carry on its hidden rows.
+    """
+    R = routing_entries(routing)
+    if R.shape[1] != mask.shape[0]:
+        raise ValueError("mask rows must match routing columns")
+    for t in range(mask.shape[1]):
+        hidden = np.flatnonzero(~mask.mask[:, t])
+        if hidden.size:
+            yield t, hidden, null_space(R[:, hidden])
+
+
 def intersect_nullspaces(routing, mask: SamplingMask) -> SubspaceBasis:
     """Basis of N_R intersected with N_Pi, assembled column by column."""
-    R = routing_entries(routing)
     F, T = mask.shape
-    if R.shape[1] != F:
-        raise ValueError("mask rows must match routing columns")
     _check_size(F, T)
     cols = []
-    for t in range(T):
-        hidden = np.flatnonzero(~mask.mask[:, t])
-        if hidden.size == 0:
-            continue
-        K = null_space(R[:, hidden])
+    for t, hidden, K in _column_kernels(routing, mask):
         for i in range(K.shape[1]):
             v = np.zeros(F * T)
             v[hidden * T + t] = K[:, i]
@@ -183,73 +191,17 @@ def gammas(bundle: SubspaceBundle):
     return g_u, g_v, g_uv, g_u + g_v
 
 
-def _infty_to_spectral_ratio(basis: SubspaceBasis, coeff: np.ndarray) -> float:
-    c = np.asarray(coeff, dtype=np.float64)
-    n = np.linalg.norm(c)
-    if n == 0:
-        return 0.0
-    X = (basis.vectors @ (c / n)).reshape(basis.shape)
-    top = np.linalg.svd(X, compute_uv=False)[0]
-    if top == 0:
-        return 0.0
-    return float(np.abs(X).max() / top)
-
-
-def tau_mode(dim: int) -> str:
-    """The mode `tau(mode="auto")` uses for a nullspace intersection of `dim`."""
-    return "exact" if dim <= 3 else "lower_bound"
-
-
-def tau(routing, mask: SamplingMask, mode: str = "auto", seed: int = 0,
-        basis: SubspaceBasis | None = None) -> float:
+def tau(routing, mask: SamplingMask) -> float:
     """Largest entry magnitude over unit-spectral-norm nullspace-intersection elements.
 
-    `exact` mode (intersection dimension <= 3) densely samples the coefficient
-    sphere and polishes the best point; `lower_bound` mode reports the best of
-    random probes and is explicitly only a lower bound.
+    Column t of any H in N_R cap N_Pi lies in the range of
+    K_t = null_space(R[:, hidden_t]), and ||H||_2 >= ||h_t||_2, so the ratio
+    |H_ft| / ||H||_2 is largest for a single-column H.  Within column t the
+    best ratio is the norm of row f of the orthonormal K_t, which gives the
+    exact closed form tau = max over t and f of ||K_t[f, :]||_2.
     """
-    if basis is None:
-        basis = intersect_nullspaces(routing, mask)
-    d = basis.dim
-    if d == 0:
-        return 0.0
-    if mode == "auto":
-        mode = tau_mode(d)
-    if mode == "exact" and d > 3:
-        raise SizeGuardError(f"exact mode supports dimension <= 3, got {d}")
-    if mode not in ("exact", "lower_bound"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    if mode == "exact":
-        if d == 1:
-            candidates = np.array([[1.0]])
-        elif d == 2:
-            ang = np.linspace(0.0, np.pi, 1441)
-            candidates = np.column_stack([np.cos(ang), np.sin(ang)])
-        else:
-            n = 4000
-            i = np.arange(n)
-            phi_ang = np.arccos(1 - 2 * (i + 0.5) / n)
-            golden = np.pi * (1 + np.sqrt(5.0)) * i
-            candidates = np.column_stack(
-                [np.sin(phi_ang) * np.cos(golden), np.sin(phi_ang) * np.sin(golden), np.cos(phi_ang)]
-            )
-    else:
-        rng = np.random.default_rng(seed)
-        candidates = rng.standard_normal((256, d))
-
-    values = [_infty_to_spectral_ratio(basis, c) for c in candidates]
-    order = np.argsort(values)[::-1]
-    best = float(values[order[0]])
-    for idx in order[: 3 if d > 1 else 1]:
-        res = minimize(
-            lambda c: -_infty_to_spectral_ratio(basis, c),
-            candidates[idx],
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        best = max(best, float(-res.fun))
-    return best
+    return max((float(np.linalg.norm(K, axis=1).max())
+                for _, _, K in _column_kernels(routing, mask) if K.shape[1]), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -365,7 +317,9 @@ def k_per_column(support, periods: int) -> int:
 def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) -> dict:
     """All subspace measures needed by the recovery checker, as a dict.
 
-    `tau_mode` says whether `tau` is exact or only a lower bound.
+    Every measure is exact: the incoherences are principal-angle cosines and
+    `tau` is the closed-form row-norm maximum, so none depends on a random
+    draw, and relabelling flows or periods moves them only by rounding.
     """
     F, T = bundle.shape
     _check_size(F, T)
@@ -389,8 +343,7 @@ def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) ->
         "gamma": g_uv,
         "gamma_u": g_u,
         "gamma_v": g_v,
-        "tau": tau(routing, mask, mode="auto", basis=inter),
-        "tau_mode": tau_mode(inter.dim),
+        "tau": tau(routing, mask),
         "k_max_col": k_per_column(bundle.support, T),
         "null_intersection_dim": inter.dim,
     }

@@ -304,16 +304,20 @@ def project_phi(bundle: SubspaceBundle, Z: np.ndarray) -> np.ndarray:
     return PuZ + ZPv - PuZPv
 
 
+def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float | None:
+    """||estimate - truth||_F / ||truth||_F, or None when the truth is all zero."""
+    n = np.linalg.norm(truth)
+    return None if n == 0.0 else float(np.linalg.norm(estimate - truth) / n)
+
+
 def relative_errors(estimate: TrafficMatrices, truth: TrafficMatrices):
     """Relative Frobenius errors (e_x, e_a, e_x + e_a) against ground truth."""
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth dimensions differ")
-    nx = np.linalg.norm(truth.nominal)
-    na = np.linalg.norm(truth.anomalies)
-    if nx == 0.0 or na == 0.0:
-        which = "nominal" if nx == 0.0 else "anomaly"
+    e_x = relative_error(estimate.nominal, truth.nominal)
+    e_a = relative_error(estimate.anomalies, truth.anomalies)
+    if e_x is None or e_a is None:
+        which = "nominal" if e_x is None else "anomaly"
         raise DegenerateTruthError(f"the true {which} matrix is all zero, so its relative "
                                    "error is undefined")
-    e_x = float(np.linalg.norm(estimate.nominal - truth.nominal) / nx)
-    e_a = float(np.linalg.norm(estimate.anomalies - truth.anomalies) / na)
     return e_x, e_a, e_x + e_a

@@ -46,11 +46,13 @@ from .fileio import (
 )
 from .mm import MmConfig, mm_solve
 from .model import (
+    DegenerateTruthError,
     DivergenceError,
     Observations,
     RoutingMatrix,
     SamplingMask,
     TrafficMatrices,
+    relative_error,
     relative_errors,
     subspace_bundle,
 )
@@ -313,14 +315,18 @@ def load_scenario(scenario_dir: str) -> tuple[RoutingMatrix, Observations, Traff
 # ---------------------------------------------------------------------------
 # Run records
 
+def _metric_text(value):
+    """A metric as written to metrics.txt and runrecord.txt; None is undefined."""
+    if value is None:
+        return "undefined"
+    return f"{value:.12e}" if isinstance(value, float) else value
+
+
 def write_runrecord(path: str, cfg: ExperimentConfig, seed: int, metrics: dict,
                     iterations=None, wall_time: float = 0.0):
     """Reproducibility record: config snapshot, seed, metrics, cost, version."""
     record = {f"cfg.{k}": v for k, v in cfg.snapshot().items()}
-    record.update({
-        f"metric.{k}": f"{v:.12e}" if isinstance(v, float) else v
-        for k, v in metrics.items()
-    })
+    record.update({f"metric.{k}": _metric_text(v) for k, v in metrics.items()})
     record["seed"] = seed
     if iterations is not None:
         record["iterations"] = iterations
@@ -417,15 +423,26 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
     write_manifest(os.path.join(out_dir, "report.txt"), report_entries)
 
     metrics: dict = {}
+    degenerate = None
     if truth is not None:
-        e_x, e_a, e_sum = relative_errors(TrafficMatrices(X, A), truth)
+        # An all-zero true matrix leaves its relative error (and the sum)
+        # undefined; the run is still recorded before the error is raised.
+        try:
+            e_x, e_a, e_sum = relative_errors(TrafficMatrices(X, A), truth)
+        except DegenerateTruthError as exc:
+            degenerate = exc
+            e_x = relative_error(X, truth.nominal)
+            e_a = relative_error(A, truth.anomalies)
+            e_sum = None
         metrics = {"e_x": e_x, "e_a": e_a, "e_x_plus_a": e_sum}
         write_manifest(
             os.path.join(out_dir, "metrics.txt"),
-            {k: f"{v:.12e}" for k, v in metrics.items()},
+            {k: _metric_text(v) for k, v in metrics.items()},
         )
     write_runrecord(os.path.join(out_dir, "runrecord.txt"), cfg, cfg.get("seed"),
                     metrics, iterations=report.iterations, wall_time=wall)
+    if degenerate is not None:
+        raise degenerate
     return metrics
 
 
@@ -719,7 +736,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
             m["gamma"], m["k_max_col"], mu_npi_omega=m["mu_npi_omega"],
             null_intersection_dim=m["null_intersection_dim"],
         )
-        for key in ("alpha", "beta", "xi", "nu", "eta", "tau", "tau_mode", "gamma",
+        for key in ("alpha", "beta", "xi", "nu", "eta", "tau", "gamma",
                     "k_max_col", "null_intersection_dim"):
             out[key] = m[key]
         out["chi"] = rep.chi

@@ -170,6 +170,14 @@ class TestSolveCommand:
         capsys.readouterr()
         assert main(["solve", "--config", solve, "--out", str(tmp_path / "sol")]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: the true anomaly")
+        # The run is still recorded, with the undefined errors marked as such.
+        metrics = read_manifest(tmp_path / "sol" / "metrics.txt")
+        assert float(metrics["e_x"]) >= 0.0
+        assert metrics["e_a"] == metrics["e_x_plus_a"] == "undefined"
+        record = read_manifest(tmp_path / "sol" / "runrecord.txt")
+        assert record["metric.e_a"] == record["metric.e_x_plus_a"] == "undefined"
+        assert record["metric.e_x"] == metrics["e_x"]
+        assert record["cfg.solver.max_iters"] == "50"
         sweep = write_cfg(tmp_path / "sweep.txt", no_anomalies +
                           "netflow.pis=0.5\nnetflow.seeds=1\nsolver.max_iters=50\n")
         assert main(["netflow-sweep", "--config", sweep, "--out", str(tmp_path / "nf")]) == 2
@@ -477,14 +485,13 @@ class TestDiagnoseCommand:
         report = read_manifest(out / "diagnose.txt")
         assert float(report["tau"]) == 0.0
         assert int(report["null_intersection_dim"]) == 0
-        assert report["tau_mode"] == "exact"
 
 
 class TestCliPlumbing:
     def test_import_leaves_out_signal_and_stats(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(pipelines.__file__)))
-        code = ("import sys, trafficmaps.cli; "
-                "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+        code = ("import sys, trafficmaps.cli; print(sorted(m for m in "
+                "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
