@@ -3,8 +3,9 @@
 One splitting loop, `_split`, serves all three: auxiliary copies O of X and B
 of A, so the routing matrix never couples a prox step.  Each iteration
 soft-thresholds A, solves for O column by column, thresholds the singular
-values of X and solves for B.  The estimators differ only in their data-fit
-term, which a per-estimator fit step supplies as targets for O + B:
+values of X and solves for B; each solve is one batched product over the
+per-column inverses.  The estimators differ only in their data-fit term,
+which a per-estimator fit step supplies as targets for O + B:
 
 * p2, the equality-constrained noiseless program: multipliers on the link
   and flow constraints (`_Multipliers`);
@@ -88,8 +89,10 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
 class ColumnSolves:
     """Cached per-column solve handles for (scale*I + Pi_t + R' Piy_t R)^{-1}.
 
-    Columns sharing a mask pattern share one factorization.  `apply` treats
-    each column independently, so results do not depend on column ordering.
+    Slot t of one (T, F, F) array holds column t's inverse; columns sharing a
+    mask pattern share one factorization and copy its slot.  `apply` solves
+    every column in one batched product, each column independently, so
+    results do not depend on column ordering.
     """
 
     def __init__(self, R: np.ndarray, mask: np.ndarray, diag_scale: float = 1.0,
@@ -109,24 +112,23 @@ class ColumnSolves:
         self._link_mask = link_mask
         self._scale = float(diag_scale)
         self._gram = R.T @ R if link_mask is None else None
-        inverses: list[np.ndarray] = []
-        seen: dict = {}
-        index = np.empty(T, dtype=int)
+        self._inverses = np.empty((T, F, F))
+        first: dict = {}
         eye = np.eye(F)
         for t in range(T):
             key = mask[:, t].tobytes()
             if link_mask is not None:
                 key = (key, link_mask[:, t].tobytes())
-            if key not in seen:
-                inverses.append(cho_solve(cho_factor(self.system_matrix(t)), eye))
-                seen[key] = len(inverses) - 1
-            index[t] = seen[key]
-        self._inverses = inverses
-        self._index = index
+            if key in first:
+                self._inverses[t] = self._inverses[first[key]]
+            else:
+                self._inverses[t] = cho_solve(cho_factor(self.system_matrix(t)), eye)
+                first[key] = t
+        self._n_patterns = len(first)
 
     @property
     def n_patterns(self) -> int:
-        return len(self._inverses)
+        return self._n_patterns
 
     def system_matrix(self, t: int) -> np.ndarray:
         """The matrix whose inverse column t is solved against."""
@@ -141,13 +143,10 @@ class ColumnSolves:
         return G
 
     def apply_column(self, t: int, v: np.ndarray) -> np.ndarray:
-        return self._inverses[self._index[t]] @ v
+        return self._inverses[t] @ v
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        out = np.empty_like(V)
-        for t in range(V.shape[1]):
-            out[:, t] = self._inverses[self._index[t]] @ V[:, t]
-        return out
+        return np.ascontiguousarray(np.matmul(self._inverses, V.T[:, :, None])[:, :, 0].T)
 
 
 def precompute_column_inverses(routing, mask, diag_scale: float = 1.0,
@@ -246,11 +245,8 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
     mask = obs.mask.mask
     c = cfg.c
     tol_primal, tol_dual = cfg.resolved_tols(obs.link_counts)
-    handles = ColumnSolves(R, mask, diag_scale=c / weight, link_mask=link_mask)
-
-    def fit_normal(V):  # (Pi + R' Lambda R) V, the data-fit part of the column systems
-        return np.where(mask, V, 0.0) + R.T @ _on_links(R @ V, link_mask)
-
+    s = c / weight
+    handles = ColumnSolves(R, mask, diag_scale=s, link_mask=link_mask)
     X, A, B, O, M_a, M_x = (np.zeros(mask.shape) for _ in range(6))
     hist: dict = {}
     converged = False
@@ -260,13 +256,15 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
         M_x += c * (O - X)
         X_old, A_old = X, A
 
+        # With G = s*I + Pi + R' Lambda R, the O update G^{-1}(V - (Pi + R' Lambda R) B)
+        # equals G^{-1}(V + s*B) - B, so no data-fit product is formed; B likewise.
         data_y, data_z = fit.data()
         A = soft_threshold(B + M_a / c, l1 / c)
-        O = handles.apply((c * X - M_x) / weight + data_y + data_z - fit_normal(B))
+        O = handles.apply((c * X - M_x) / weight + data_y + data_z + s * B) - B
         _check_finite(O, k)
         X = svt(O + M_x / c, nuclear / c)
         _check_finite(X, k)
-        B = handles.apply((c * A - M_a) / weight + data_y + data_z - fit_normal(O))
+        B = handles.apply((c * A - M_a) / weight + data_y + data_z + s * O) - O
 
         residuals, changes = fit.update(O + B)
         r_ba = float(np.linalg.norm(B - A))

@@ -327,7 +327,6 @@ def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) ->
     phi = phi_basis(bundle)
     nr = nullspace_R_basis(routing, T)
     npi = nullspace_Pi_basis(mask)
-    inter = intersect_nullspaces(routing, mask)
     hidden = ~mask.mask
     omega_cap_npi = omega_basis(
         [(f, t) for f, t in bundle.support if hidden[f, t]], (F, T)
@@ -345,7 +344,7 @@ def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) ->
         "gamma_v": g_v,
         "tau": tau(routing, mask),
         "k_max_col": k_per_column(bundle.support, T),
-        "null_intersection_dim": inter.dim,
+        "null_intersection_dim": sum(K.shape[1] for _, _, K in _column_kernels(routing, mask)),
     }
 
 

@@ -19,6 +19,10 @@ ZERO_ATOL = 1e-9
 class DegenerateTruthError(ValueError):
     """A ground-truth matrix required for normalization is identically zero."""
 
+    def __init__(self, which: str):
+        super().__init__(f"the true {which} matrix is all zero, so its relative error "
+                         "is undefined")
+
 
 class DivergenceError(RuntimeError):
     """An iterative solver produced non-finite iterates."""
@@ -317,7 +321,5 @@ def relative_errors(estimate: TrafficMatrices, truth: TrafficMatrices):
     e_x = relative_error(estimate.nominal, truth.nominal)
     e_a = relative_error(estimate.anomalies, truth.anomalies)
     if e_x is None or e_a is None:
-        which = "nominal" if e_x is None else "anomaly"
-        raise DegenerateTruthError(f"the true {which} matrix is all zero, so its relative "
-                                   "error is undefined")
+        raise DegenerateTruthError("nominal" if e_x is None else "anomaly")
     return e_x, e_a, e_x + e_a

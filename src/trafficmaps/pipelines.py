@@ -567,7 +567,7 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
 
     def work(item):
         idx, pi = item
-        ex_acc = ea_acc = 0.0
+        errors = np.zeros(2)
         for rep in range(n_seeds):
             rep_seed = seed + 17 * rep
             topo = connected_topology(cfg.get("synth.nodes"), cfg.get("synth.radius"), rep_seed)
@@ -580,24 +580,28 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
             mask = gen_mask(F, T, pi, rep_seed + 100 * (idx + 1))
             obs = observe(routing, X0, A0, mask)
             X, A, _, _ = run_solver(cfg.get("solver.kind"), obs, routing, cfg)
-            e_x, e_a, _ = relative_errors(TrafficMatrices(X, A), TrafficMatrices(X0, A0))
-            ex_acc += e_x
-            ea_acc += e_a
-        return idx, ex_acc / n_seeds, ea_acc / n_seeds
+            # an all-zero truth leaves its error undefined: nan here, raised below
+            errors += [np.nan if e is None else e
+                       for e in (relative_error(X, X0), relative_error(A, A0))]
+        return idx, errors / n_seeds
 
     rows = np.zeros((len(pis), 3))
     rows[:, 0] = pis
     items = list(enumerate(pis))
-    for idx, ex, ea in _map_quietly(work, items, threads):
-        rows[idx, 1:] = (ex, ea)
+    for idx, errors in _map_quietly(work, items, threads):
+        rows[idx, 1:] = errors
 
+    metrics = {}
+    for pi, ex, ea in rows:
+        metrics[f"e_x_at_{pi:g}"] = None if np.isnan(ex) else float(ex)
+        metrics[f"e_a_at_{pi:g}"] = None if np.isnan(ea) else float(ea)
     os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "netflow_sweep.csv"), rows)
-    write_runrecord(
-        os.path.join(out_dir, "runrecord.txt"), cfg, seed,
-        {f"e_x_at_{pi:g}": float(ex) for pi, ex, _ in rows},
-        wall_time=time.perf_counter() - start,
-    )
+    write_runrecord(os.path.join(out_dir, "runrecord.txt"), cfg, seed, metrics,
+                    wall_time=time.perf_counter() - start)
+    undefined = np.isnan(rows[:, 1:]).any(axis=0)
+    if undefined.any():
+        raise DegenerateTruthError("nominal" if undefined[0] else "anomaly")
     return rows
 
 

@@ -147,6 +147,26 @@ class TestColumnSolves:
         for t in rng.permutation(9):
             assert np.array_equal(out[:, t], handles.apply_column(t, V[:, t]))
 
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    @pytest.mark.parametrize("partial_links", [False, True])
+    def test_update_identity(self, scale, partial_links):
+        # The O and B updates solve G_t x = v_t - (Pi_t + R' Lambda_t R) b_t with
+        # G_t = scale*I + Pi_t + R' Lambda_t R; _split forms G^{-1}(V + scale*B) - B.
+        rng = np.random.default_rng(7)
+        R = rng.random((6, 9))
+        mask = rng.random((9, 8)) < 0.4
+        mask[:, [5, 6]] = mask[:, [1, 2]]  # repeated patterns
+        link_mask = rng.random((6, 8)) < 0.7 if partial_links else np.ones((6, 8), dtype=bool)
+        handles = ColumnSolves(R, mask, diag_scale=scale,
+                               link_mask=link_mask if partial_links else None)
+        V, B = rng.standard_normal((9, 8)), rng.standard_normal((9, 8))
+        out = handles.apply(V + scale * B) - B
+        for t in range(8):
+            b = B[:, t]
+            fit = mask[:, t] * b + R.T @ (link_mask[:, t] * (R @ b))
+            ref = np.linalg.solve(handles.system_matrix(t), V[:, t] - fit)
+            assert np.abs(out[:, t] - ref).max() < 1e-12
+
     def test_precompute_wrapper(self):
         r, _, _, obs = make_scenario(0, F=12, T=10, N=8, d_c=0.7)
         handles = precompute_column_inverses(r, obs.mask)

@@ -271,6 +271,17 @@ class TestPhaseGrid:
             cmd_phase_grid(ExperimentConfig(cfg), str(tmp_path / f"g{k}"), threads=2)
             assert warnings.filters == before
 
+    def test_thread_count_gives_same_bytes(self, tmp_path):
+        cfg = dict(self.TINY_GRID, **{
+            "phase.ranks": "1,2", "phase.sparsity_counts": "2,4",
+            "phase.lam_grid": 2, "solver.max_iters": 200,
+        })
+        outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            cmd_phase_grid(ExperimentConfig(cfg), str(out), threads=n)
+        for name in ("phase_grid.csv", "phase_meta.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_gray_mapping(self):
         err = np.array([[0.005, 0.01], [1.0, 2.0]])
         gray = phase_error_to_gray(err)
@@ -312,6 +323,37 @@ class TestNetflowSweep:
         assert e_x[0] >= e_x[1] >= e_x[2] - 1e-9
         # full observation of flows gives essentially exact recovery
         assert e_x[2] + rows[2, 2] < 1e-6
+
+    TINY_SWEEP = {
+        "seed": 3,
+        "synth.nodes": 10, "synth.radius": 0.6, "synth.flows": 16,
+        "synth.periods": 12, "synth.rank": 1, "synth.anomaly_prob": 0.05,
+        "synth.paths": 1, "solver.kind": "p2", "solver.max_iters": 200,
+        "netflow.pis": "0.25,0.5,1.0", "netflow.seeds": 2,
+    }
+
+    def test_thread_count_gives_same_bytes(self, tmp_path):
+        outs = [tmp_path / f"threads{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            cmd_netflow_sweep(ExperimentConfig(self.TINY_SWEEP), str(out), threads=n)
+        name = "netflow_sweep.csv"
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_all_zero_anomalies_keep_finished_cells(self, tmp_path, capsys):
+        cfg = "".join(f"{k}={v}\n" for k, v in self.TINY_SWEEP.items())
+        sweep = write_cfg(tmp_path / "sweep.txt", cfg.replace("anomaly_prob=0.05", "anomaly_prob=0"))
+        out = tmp_path / "nf"
+        assert main(["netflow-sweep", "--config", sweep, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the true anomaly matrix is all zero")
+        # Every cell is still written: e_x is defined, e_a is not.
+        rows = read_matrix(out / "netflow_sweep.csv")
+        assert np.array_equal(rows[:, 0], [0.25, 0.5, 1.0])
+        assert np.isfinite(rows[:, 1]).all() and np.isnan(rows[:, 2]).all()
+        record = read_manifest(out / "runrecord.txt")
+        for pi in ("0.25", "0.5", "1"):
+            assert float(record[f"metric.e_x_at_{pi}"]) >= 0.0
+            assert record[f"metric.e_a_at_{pi}"] == "undefined"
 
 
 class TestBurstCompare:
