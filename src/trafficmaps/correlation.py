@@ -52,19 +52,57 @@ def _is_diagonal_row(row: np.ndarray) -> bool:
     return row.size > 0 and row[0] > 0 and np.abs(row[1:]).max(initial=0.0) == 0.0
 
 
+def _pd_inverse(M: np.ndarray) -> np.ndarray:
+    """Symmetrized inverse of a positive definite matrix, from its Cholesky factor."""
+    inv = cho_solve(cho_factor(M), np.eye(M.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
+def _top_eig(M: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(M)[-1])
+
+
+def _prior_groups(rows: list) -> tuple:
+    """(flows, block, inv_norm) for each distinct first row.  `block` is the
+    value of a diagonal row and the stored inverse of the PD-conditioned
+    Toeplitz block otherwise; inv_norm is the spectral norm of the inverse."""
+    flows_by_row: dict = {}
+    for f, row in enumerate(rows):
+        flows_by_row.setdefault(row.tobytes(), []).append(f)
+    groups = []
+    for flows in flows_by_row.values():
+        row = rows[flows[0]]
+        if _is_diagonal_row(row):
+            block, inv_norm = float(row[0]), 1.0 / float(row[0])
+        else:
+            block = _pd_inverse(condition_pd(toeplitz(row)))
+            inv_norm = _top_eig(block)
+        groups.append((np.array(flows), block, inv_norm))
+    return tuple(groups)
+
+
 @dataclass(frozen=True)
 class CorrelationSet:
     """R_L, R_Q, and per-flow Toeplitz first rows for the anomaly blocks.
 
-    `anomaly_blocks[f]` is a pair (row_b, row_c) of length-T first rows; the
-    solver-facing block matrices are PD-conditioned and factored on first use,
-    once per distinct first row.
+    `anomaly_blocks[f]` is a pair (row_b, row_c) of length-T first rows.  The
+    prior solves apply stored inverses: R_L^{-1}, R_Q^{-1}, and one inverse of
+    the PD-conditioned Toeplitz block per distinct first row, shared by the
+    flows that carry it.  Each inverse is symmetrized, and `inv_norm_*` is the
+    top eigenvalue of the stored matrix, so the solver's curvature bounds hold
+    for the operator it actually applies.
     """
 
     R_L: np.ndarray
     R_Q: np.ndarray
     anomaly_blocks: tuple
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _inv_RL: np.ndarray = field(init=False, repr=False, compare=False)
+    _inv_RQ: np.ndarray = field(init=False, repr=False, compare=False)
+    _groups: dict = field(init=False, repr=False, compare=False)
+    inv_norm_RL: float = field(init=False, repr=False, compare=False)
+    inv_norm_RQ: float = field(init=False, repr=False, compare=False)
+    inv_norm_RB: float = field(init=False, repr=False, compare=False)
+    inv_norm_RC: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         R_L = np.ascontiguousarray(np.asarray(self.R_L, dtype=np.float64))
@@ -91,20 +129,25 @@ class CorrelationSet:
         tl, tq = np.trace(R_L), np.trace(R_Q)
         if abs(tl - tq) > 1e-6 * max(abs(tl), abs(tq)):
             raise ValueError(f"traces must match: tr(R_L)={tl:.6g}, tr(R_Q)={tq:.6g}")
-        wl = np.linalg.eigvalsh(R_L)
-        wq = np.linalg.eigvalsh(R_Q)
-        if wl[0] <= 0 or wq[0] <= 0:
+        if np.linalg.eigvalsh(R_L)[0] <= 0 or np.linalg.eigvalsh(R_Q)[0] <= 0:
             raise ValueError("R_L and R_Q must be positive definite")
         for M in (R_L, R_Q):
             M.setflags(write=False)
         for rb, rc in blocks:
             rb.setflags(write=False)
             rc.setflags(write=False)
-        object.__setattr__(self, "R_L", R_L)
-        object.__setattr__(self, "R_Q", R_Q)
-        object.__setattr__(self, "anomaly_blocks", blocks)
-        self._cache["eig_min_RL"] = wl[0]
-        self._cache["eig_min_RQ"] = wq[0]
+        inv_RL, inv_RQ = _pd_inverse(R_L), _pd_inverse(R_Q)
+        groups = {"b": _prior_groups([rb for rb, _ in blocks]),
+                  "c": _prior_groups([rc for _, rc in blocks])}
+        derived = {
+            "R_L": R_L, "R_Q": R_Q, "anomaly_blocks": blocks,
+            "_inv_RL": inv_RL, "_inv_RQ": inv_RQ, "_groups": groups,
+            "inv_norm_RL": _top_eig(inv_RL), "inv_norm_RQ": _top_eig(inv_RQ),
+            "inv_norm_RB": max(inv_norm for _, _, inv_norm in groups["b"]),
+            "inv_norm_RC": max(inv_norm for _, _, inv_norm in groups["c"]),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def identity(cls, flows: int, periods: int) -> "CorrelationSet":
@@ -128,49 +171,22 @@ class CorrelationSet:
     def n_periods(self) -> int:
         return self.R_Q.shape[0]
 
-    def _chol(self, key: str, M: np.ndarray):
-        if key not in self._cache:
-            self._cache[key] = cho_factor(M)
-        return self._cache[key]
-
     def solve_RL(self, M: np.ndarray) -> np.ndarray:
-        return cho_solve(self._chol("chol_RL", self.R_L), M)
+        return self._inv_RL @ M
 
     def solve_RQ(self, M: np.ndarray) -> np.ndarray:
-        return cho_solve(self._chol("chol_RQ", self.R_Q), M)
-
-    def _prior_groups(self, which: str) -> list:
-        """(flows, factor, inv_norm) for each distinct first row of the b or c
-        priors.  The factor is the value of a diagonal row and the Cholesky
-        factor of the PD-conditioned Toeplitz block otherwise; inv_norm is the
-        spectral norm of the block's inverse."""
-        key = f"groups_{which}"
-        if key not in self._cache:
-            rows = [pair[0 if which == "b" else 1] for pair in self.anomaly_blocks]
-            flows_by_row: dict = {}
-            for f, row in enumerate(rows):
-                flows_by_row.setdefault(row.tobytes(), []).append(f)
-            groups = []
-            for flows in flows_by_row.values():
-                row = rows[flows[0]]
-                if _is_diagonal_row(row):
-                    groups.append((flows, float(row[0]), 1.0 / float(row[0])))
-                else:
-                    block = condition_pd(toeplitz(row))
-                    groups.append((flows, cho_factor(block), 1.0 / np.linalg.eigvalsh(block)[0]))
-            self._cache[key] = groups
-        return self._cache[key]
+        return self._inv_RQ @ M
 
     def _solve_rows(self, M: np.ndarray, which: str) -> np.ndarray:
         M = np.asarray(M, dtype=np.float64)
         if M.shape != (self.n_flows, self.n_periods):
             raise ValueError("matrix must be flows-by-periods")
         out = np.empty_like(M)
-        for flows, factor, _ in self._prior_groups(which):
-            if isinstance(factor, float):
-                out[flows] = M[flows] / factor
+        for flows, block, _ in self._groups[which]:
+            if isinstance(block, float):
+                out[flows] = M[flows] / block
             else:
-                out[flows] = cho_solve(factor, M[flows].T).T
+                out[flows] = M[flows] @ block
         return out
 
     def solve_RB(self, M: np.ndarray) -> np.ndarray:
@@ -179,28 +195,6 @@ class CorrelationSet:
 
     def solve_RC(self, M: np.ndarray) -> np.ndarray:
         return self._solve_rows(M, "c")
-
-    def quad_RB(self, M: np.ndarray) -> float:
-        return float(np.sum(M * self.solve_RB(M)))
-
-    def quad_RC(self, M: np.ndarray) -> float:
-        return float(np.sum(M * self.solve_RC(M)))
-
-    @property
-    def inv_norm_RL(self) -> float:
-        return 1.0 / self._cache["eig_min_RL"]
-
-    @property
-    def inv_norm_RQ(self) -> float:
-        return 1.0 / self._cache["eig_min_RQ"]
-
-    @property
-    def inv_norm_RB(self) -> float:
-        return max(inv_norm for _, _, inv_norm in self._prior_groups("b"))
-
-    @property
-    def inv_norm_RC(self) -> float:
-        return max(inv_norm for _, _, inv_norm in self._prior_groups("c"))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,13 @@ product); each outer iteration takes one exact-step gradient update per block
 in the order L -> Q -> B -> C, minimizing a locally tight quadratic surrogate
 whose curvature is an upper bound on the block Hessian norm.  Every block
 update is therefore non-increasing in the objective.
+
+The solver carries the prior solves R^{-1} of each block (products with the
+stored inverses of `CorrelationSet`) from one iteration to the next: a sweep
+solves each block once, after its update, and that solve serves both the
+sweep's objective and the next gradient.  An extrapolated point's solves are
+the same combination of the cached ones, so an iteration makes four prior
+solves (eight when the extrapolation is rejected).
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ _BLOCKS = ("L", "Q", "B", "C")
 
 @dataclass(frozen=True)
 class FactorState:
-    """Factors of the bilinear model: X = L Q', A = B . C."""
+    """Factors of the bilinear model: X = L Q', A = B . C.
+
+    The solver also keeps a state's per-block prior solves in this form.
+    """
 
     L: np.ndarray
     Q: np.ndarray
@@ -47,9 +57,6 @@ class FactorState:
 
     def anomalies(self) -> np.ndarray:
         return self.B * self.C
-
-    def is_finite(self) -> bool:
-        return all(np.isfinite(getattr(self, n)).all() for n in _BLOCKS)
 
 
 @dataclass
@@ -105,17 +112,29 @@ def residuals(state: FactorState, obs: Observations, routing):
     return phi_y, phi_z
 
 
+def prior_solves(state: FactorState, corr: CorrelationSet) -> FactorState:
+    """R^{-1} of each block at `state`: R_L^{-1} L, R_Q^{-1} Q and the row-wise
+    anomaly solves of B and C."""
+    return FactorState(**{b: getattr(corr, f"solve_R{b}")(getattr(state, b)) for b in _BLOCKS})
+
+
+def _objective(state: FactorState, solves: FactorState, phi, cfg: MmConfig) -> float:
+    """The objective from the residuals `phi` and the prior solves of `state`."""
+    phi_y, phi_z = phi
+    fit = 0.5 * (np.linalg.norm(phi_y) ** 2 + np.linalg.norm(phi_z) ** 2)
+    reg_lr = 0.5 * cfg.lambda_star * (
+        float(np.sum(state.L * solves.L)) + float(np.sum(state.Q * solves.Q))
+    )
+    reg_bc = 0.5 * cfg.lambda_1 * (
+        float(np.sum(state.B * solves.B)) + float(np.sum(state.C * solves.C))
+    )
+    return float(fit + reg_lr + reg_bc)
+
+
 def p5_objective(state: FactorState, obs: Observations, routing,
                  corr: CorrelationSet, cfg: MmConfig) -> float:
     """Data fit plus correlation-weighted quadratic factor penalties."""
-    phi_y, phi_z = residuals(state, obs, routing)
-    fit = 0.5 * (np.linalg.norm(phi_y) ** 2 + np.linalg.norm(phi_z) ** 2)
-    reg_lr = 0.5 * cfg.lambda_star * (
-        float(np.sum(state.L * corr.solve_RL(state.L)))
-        + float(np.sum(state.Q * corr.solve_RQ(state.Q)))
-    )
-    reg_bc = 0.5 * cfg.lambda_1 * (corr.quad_RB(state.B) + corr.quad_RC(state.C))
-    return float(fit + reg_lr + reg_bc)
+    return _objective(state, prior_solves(state, corr), residuals(state, obs, routing), cfg)
 
 
 def p4_objective(state: FactorState, obs: Observations, routing, cfg: MmConfig) -> float:
@@ -129,19 +148,23 @@ def p4_objective(state: FactorState, obs: Observations, routing, cfg: MmConfig) 
 
 
 def block_gradient(block: str, state: FactorState, obs: Observations, routing,
-                   corr: CorrelationSet, cfg: MmConfig) -> np.ndarray:
-    """Gradient of the objective with respect to one block at the current state."""
+                   solves: FactorState, cfg: MmConfig) -> np.ndarray:
+    """Gradient of the objective with respect to one block at the current state.
+
+    `solves` holds the prior solves of `state` (`prior_solves`); only the
+    named block's is read.
+    """
     R = routing_entries(routing)
     phi_y, phi_z = residuals(state, obs, routing)
     S = R.T @ phi_y + phi_z
     if block == "L":
-        return S @ state.Q + cfg.lambda_star * corr.solve_RL(state.L)
+        return S @ state.Q + cfg.lambda_star * solves.L
     if block == "Q":
-        return S.T @ state.L + cfg.lambda_star * corr.solve_RQ(state.Q)
+        return S.T @ state.L + cfg.lambda_star * solves.Q
     if block == "B":
-        return state.C * S + cfg.lambda_1 * corr.solve_RB(state.B)
+        return state.C * S + cfg.lambda_1 * solves.B
     if block == "C":
-        return state.B * S + cfg.lambda_1 * corr.solve_RC(state.C)
+        return state.B * S + cfg.lambda_1 * solves.C
     raise ValueError(f"unknown block {block!r}")
 
 
@@ -174,30 +197,36 @@ def step_bound(block: str, state: FactorState, routing, corr: CorrelationSet,
     return cfg.step_safety * max(bound, 1e-12)
 
 
-def mm_step(state: FactorState, obs: Observations, routing, corr: CorrelationSet,
-            cfg: MmConfig, k: int = 0, return_block_objectives: bool = False,
-            gram_norm: float | None = None):
+def mm_step(state: FactorState, solves: FactorState, obs: Observations, routing,
+            corr: CorrelationSet, cfg: MmConfig, k: int = 0,
+            return_block_objectives: bool = False, gram_norm: float | None = None):
     """One outer iteration: majorized updates of L, Q, B, C in order.
 
-    Each block uses residuals at the freshest iterates.  With
-    `return_block_objectives` the objective value after every block update is
-    returned alongside the new state (used by the monotonicity checks).
-    `gram_norm` lets a driver reuse sigma_max(R'R) across iterations.
+    `solves` holds the prior solves of `state` (`prior_solves`).  Each block
+    uses residuals at the freshest iterates, and only the updated block is
+    solved again, so a sweep makes four prior solves.  Returns the new state,
+    its prior solves and its objective value; with `return_block_objectives`
+    also the objective value after every block update (used by the
+    monotonicity checks).  `gram_norm` lets a driver reuse sigma_max(R'R)
+    across iterations.
     """
     if gram_norm is None:
         gram_norm = gram_spectral_norm(routing)
     block_objs = []
     for block in _BLOCKS:
-        grad = block_gradient(block, state, obs, routing, corr, cfg)
+        grad = block_gradient(block, state, obs, routing, solves, cfg)
         mu = step_bound(block, state, routing, corr, cfg, gram_norm=gram_norm)
-        state = replace(state, **{block: getattr(state, block) - grad / mu})
-        if not state.is_finite():
+        new = getattr(state, block) - grad / mu
+        if not np.isfinite(new).all():
             raise DivergenceError(f"non-finite {block} block at iteration {k}", iteration=k)
+        state = replace(state, **{block: new})
+        solves = replace(solves, **{block: getattr(corr, f"solve_R{block}")(new)})
         if return_block_objectives:
             block_objs.append(p5_objective(state, obs, routing, corr, cfg))
+    obj = _objective(state, solves, residuals(state, obs, routing), cfg)
     if return_block_objectives:
-        return state, block_objs
-    return state
+        return state, solves, obj, block_objs
+    return state, solves, obj
 
 
 def init_state(flows: int, periods: int, cfg: MmConfig, seed: int = 0) -> FactorState:
@@ -228,15 +257,18 @@ def mm_solve(obs: Observations, routing, corr: CorrelationSet,
 
     Returns (X_hat, A_hat, report); the report carries the monotone objective
     trajectory.  With `accelerate` the iterate is extrapolated Nesterov-style
-    and restarted whenever the objective would increase.
+    and restarted whenever the objective would increase.  The prior solves of
+    the current and previous states are carried along, so the solver makes
+    4 + 4 * (iterations + restarts) prior solves in all.
     """
     cfg = cfg or MmConfig()
     F, T = obs.flow_counts.shape
     gram_norm = gram_spectral_norm(routing)
     state = init if init is not None else init_state(F, T, cfg, seed)
-    obj = p5_objective(state, obs, routing, corr, cfg)
+    solves = prior_solves(state, corr)
+    obj = _objective(state, solves, residuals(state, obs, routing), cfg)
     objectives = [obj]
-    prev = state
+    prev, prev_solves = state, solves
     t_acc = 1.0
     restarts = 0
     converged = False
@@ -244,20 +276,22 @@ def mm_solve(obs: Observations, routing, corr: CorrelationSet,
     for iteration in range(1, cfg.max_iters + 1):
         if cfg.accelerate and iteration > 1:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-            trial = _extrapolate(state, prev, (t_acc - 1.0) / t_next)
-            cand = mm_step(trial, obs, routing, corr, cfg, k=iteration, gram_norm=gram_norm)
-            cand_obj = p5_objective(cand, obs, routing, corr, cfg)
+            w = (t_acc - 1.0) / t_next
+            cand, cand_solves, cand_obj = mm_step(
+                _extrapolate(state, prev, w), _extrapolate(solves, prev_solves, w),
+                obs, routing, corr, cfg, k=iteration, gram_norm=gram_norm)
             if cand_obj <= obj:
                 t_acc = t_next
             else:
                 restarts += 1
                 t_acc = 1.0
-                cand = mm_step(state, obs, routing, corr, cfg, k=iteration, gram_norm=gram_norm)
-                cand_obj = p5_objective(cand, obs, routing, corr, cfg)
+                cand, cand_solves, cand_obj = mm_step(
+                    state, solves, obs, routing, corr, cfg, k=iteration, gram_norm=gram_norm)
         else:
-            cand = mm_step(state, obs, routing, corr, cfg, k=iteration, gram_norm=gram_norm)
-            cand_obj = p5_objective(cand, obs, routing, corr, cfg)
-        prev, state = state, cand
+            cand, cand_solves, cand_obj = mm_step(
+                state, solves, obs, routing, corr, cfg, k=iteration, gram_norm=gram_norm)
+        prev, prev_solves = state, solves
+        state, solves = cand, cand_solves
         objectives.append(cand_obj)
         if abs(cand_obj - obj) <= cfg.tol * (1.0 + abs(cand_obj)):
             converged = True

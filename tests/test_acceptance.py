@@ -32,7 +32,9 @@ from trafficmaps.diagnostics import (
     check_recovery_conditions,
 )
 from trafficmaps.fileio import read_manifest, read_matrix, write_matrix
-from trafficmaps.mm import MmConfig, block_gradient, init_state, mm_solve, mm_step, p5_objective
+from trafficmaps.mm import (
+    MmConfig, block_gradient, init_state, mm_solve, mm_step, p5_objective, prior_solves,
+)
 from trafficmaps.model import (
     SamplingMask,
     TrafficMatrices,
@@ -188,8 +190,8 @@ def test_criterion_05_mm_monotonicity():
         state = init_state(5, 6, cfg, seed=inst + 1)
         obj = p5_objective(state, obs, R, corr, cfg)
         for k in range(50):
-            state, objs = mm_step(state, obs, R, corr, cfg, k,
-                                  return_block_objectives=True)
+            state, _, _, objs = mm_step(state, prior_solves(state, corr), obs, R, corr, cfg, k,
+                                        return_block_objectives=True)
             for o in objs:
                 worst = max(worst, (o - obj) / (1 + abs(obj)))
                 obj = o
@@ -214,7 +216,7 @@ def test_criterion_06_gradient_checks():
         cfg = MmConfig(rho=2, lambda_star=0.7, lambda_1=0.3)
         state = init_state(F, T, cfg, seed=600 + inst)
         for block in ("L", "Q", "B", "C"):
-            g = block_gradient(block, state, obs, R, corr, cfg)
+            g = block_gradient(block, state, obs, R, prior_solves(state, corr), cfg)
             arr = getattr(state, block)
             num = np.zeros_like(arr)
             for idx in np.ndindex(arr.shape):

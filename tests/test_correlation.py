@@ -291,7 +291,7 @@ class TestCorrelationSet:
         assert np.array_equal(cs.R_L, np.eye(5))
         M = np.arange(25.0).reshape(5, 5)
         assert np.allclose(cs.solve_RB(M), M)
-        assert cs.quad_RC(M) == pytest.approx(np.sum(M * M))
+        assert np.sum(M * cs.solve_RC(M)) == pytest.approx(np.sum(M * M))
 
     def test_identity_rectangular_traces_match(self):
         cs = CorrelationSet.identity(4, 9)
@@ -338,6 +338,27 @@ class TestCorrelationSet:
                 assert np.allclose(got[f], expected, rtol=1e-12, atol=1e-12)
         inv_norms = [1.0 / np.linalg.eigvalsh(condition_pd(toeplitz(r)))[0] for r in distinct]
         assert cs.inv_norm_RB == pytest.approx(max(inv_norms), rel=1e-12)
+
+    def test_inv_norms_bound_the_applied_operator(self):
+        # Both Toeplitz rows are clipped at the condition_pd floor (condition
+        # number 1e6).  There, one over the block's smallest eigenvalue can
+        # fall short of the norm of the operator the solves apply by 2e-11.
+        T = 12
+        k = np.arange(T)
+        diag = np.zeros(T)
+        diag[0] = 2.0
+        gauss, kms = 0.99 ** (k**2), 0.99999**k
+        blocks = ((gauss, kms), (diag, diag), (gauss, kms))
+        F = len(blocks)
+        cs = CorrelationSet(np.eye(F) * (T / F), np.eye(T), blocks)
+        for row in (gauss, kms):
+            w = np.linalg.eigvalsh(condition_pd(toeplitz(row)))
+            assert w[-1] / w[0] == pytest.approx(1e6, rel=1e-3)
+        units = np.eye(F * T).reshape(F * T, F, T)
+        for solve, bound in ((cs.solve_RB, cs.inv_norm_RB), (cs.solve_RC, cs.inv_norm_RC)):
+            op = np.stack([solve(E).ravel() for E in units], axis=1)
+            # The slack covers only the rounding of the reference norm itself.
+            assert bound >= np.linalg.norm(op, 2) * (1 - 1e-14)
 
     def test_non_pd_rejected(self):
         row = np.zeros(2)

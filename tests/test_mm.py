@@ -18,10 +18,11 @@ from trafficmaps.mm import (
     p4_objective,
     p5_objective,
     power_norm_sym,
+    prior_solves,
     residuals,
     step_bound,
 )
-from trafficmaps.model import Observations, SamplingMask
+from trafficmaps.model import DivergenceError, Observations, SamplingMask
 from trafficmaps.pipelines import ExperimentConfig, build_scenario
 from trafficmaps.synth import observe
 
@@ -147,7 +148,7 @@ class TestGradients:
             state = init_state(4, 4, cfg, seed=seed + 20)
             eps = 1e-6
             for block in ("L", "Q", "B", "C"):
-                g = block_gradient(block, state, obs, R, corr, cfg)
+                g = block_gradient(block, state, obs, R, prior_solves(state, corr), cfg)
                 arr = getattr(state, block)
                 num = np.zeros_like(arr)
                 for idx in np.ndindex(arr.shape):
@@ -236,7 +237,7 @@ class TestMmStep:
         corr = CorrelationSet.identity(4, 4)
         cfg = MmConfig(rho=2, lambda_star=0.5, lambda_1=0.5)
         zero = FactorState(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((4, 4)))
-        out = mm_step(zero, obs, R, corr, cfg)
+        out, _, _ = mm_step(zero, prior_solves(zero, corr), obs, R, corr, cfg)
         for b in ("L", "Q", "B", "C"):
             assert np.array_equal(getattr(out, b), getattr(zero, b))
 
@@ -244,7 +245,8 @@ class TestMmStep:
         R, obs, corr, cfg = small_problem(9)
         state = init_state(4, 4, cfg, seed=40)
         before = p5_objective(state, obs, R, corr, cfg)
-        after = p5_objective(mm_step(state, obs, R, corr, cfg), obs, R, corr, cfg)
+        after = p5_objective(mm_step(state, prior_solves(state, corr), obs, R, corr, cfg)[0],
+                             obs, R, corr, cfg)
         assert after < before
 
     def test_per_block_monotone(self):
@@ -252,7 +254,8 @@ class TestMmStep:
         state = init_state(4, 4, cfg, seed=41)
         obj = p5_objective(state, obs, R, corr, cfg)
         for k in range(25):
-            state, objs = mm_step(state, obs, R, corr, cfg, k, return_block_objectives=True)
+            state, _, _, objs = mm_step(state, prior_solves(state, corr), obs, R, corr, cfg, k,
+                                        return_block_objectives=True)
             for o in objs:
                 assert o <= obj + 1e-10 * (1 + abs(obj))
                 obj = o
@@ -264,7 +267,7 @@ class TestMmStep:
         gram = gram_spectral_norm(R)
         for block in ("L", "Q", "B", "C"):
             g0 = p5_objective(state, obs, R, corr, cfg)
-            grad = block_gradient(block, state, obs, R, corr, cfg)
+            grad = block_gradient(block, state, obs, R, prior_solves(state, corr), cfg)
             mu = step_bound(block, state, R, corr, cfg, gram_norm=gram)
             arr = getattr(state, block)
             for _ in range(20):
@@ -342,6 +345,108 @@ class TestMmSolve:
         _, _, accel = mm_solve(obs, r, corr, MmConfig(accelerate=True, **base), seed=6)
         tol = 1e-6 * (1 + abs(plain.objectives[-1]))
         assert accel.objectives[-1] <= plain.objectives[-1] + tol
+
+
+def reference_mm_solve(obs, R, corr, cfg, seed):
+    """The uncached MM loop: fresh prior solves in every gradient, and
+    `p5_objective` after every sweep.  Returns (objectives, iterations,
+    restarts, converged)."""
+    F, T = obs.flow_counts.shape
+    gram = gram_spectral_norm(R)
+
+    def sweep(state):
+        for block in ("L", "Q", "B", "C"):
+            grad = block_gradient(block, state, obs, R, prior_solves(state, corr), cfg)
+            mu = step_bound(block, state, R, corr, cfg, gram_norm=gram)
+            state = replace(state, **{block: getattr(state, block) - grad / mu})
+        return state
+
+    state = init_state(F, T, cfg, seed)
+    obj = p5_objective(state, obs, R, corr, cfg)
+    objectives, prev, t_acc, restarts, converged = [obj], state, 1.0, 0, False
+    for it in range(1, cfg.max_iters + 1):
+        if cfg.accelerate and it > 1:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
+            w = (t_acc - 1.0) / t_next
+            trial = FactorState(**{b: getattr(state, b) + w * (getattr(state, b) - getattr(prev, b))
+                                   for b in ("L", "Q", "B", "C")})
+            cand = sweep(trial)
+            cand_obj = p5_objective(cand, obs, R, corr, cfg)
+            if cand_obj <= obj:
+                t_acc = t_next
+            else:
+                restarts += 1
+                t_acc = 1.0
+                cand = sweep(state)
+                cand_obj = p5_objective(cand, obs, R, corr, cfg)
+        else:
+            cand = sweep(state)
+            cand_obj = p5_objective(cand, obs, R, corr, cfg)
+        prev, state = state, cand
+        objectives.append(cand_obj)
+        if abs(cand_obj - obj) <= cfg.tol * (1.0 + abs(cand_obj)):
+            converged = True
+            break
+        obj = cand_obj
+    return objectives, it, restarts, converged
+
+
+def well_conditioned_toeplitz_corr(F, T, seed):
+    """random_corr's R_L and R_Q with positive definite Toeplitz anomaly rows
+    (condition numbers about 16 and 3), which `condition_pd` leaves as they are."""
+    base = random_corr(F, T, seed)
+    row_b, row_c = 0.6 ** np.arange(T), 0.3 ** np.arange(T)
+    return CorrelationSet(base.R_L, base.R_Q, tuple((row_b, row_c) for _ in range(F)))
+
+
+PRIORS = ("identity", "toeplitz", "toeplitz_at_floor")
+
+
+class TestCachedPriorSolves:
+    @staticmethod
+    def _problem(prior, accelerate):
+        R, obs, corr, cfg = small_problem(20, F=6, T=5, L=4, identity_corr=prior == "identity")
+        if prior == "toeplitz":
+            corr = well_conditioned_toeplitz_corr(6, 5, 22)
+        return R, obs, corr, replace(cfg, max_iters=400, tol=1e-10, accelerate=accelerate)
+
+    @pytest.mark.parametrize("accelerate", (False, True))
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_matches_uncached_reference_loop(self, prior, accelerate):
+        R, obs, corr, cfg = self._problem(prior, accelerate)
+        objs, iters, restarts, converged = reference_mm_solve(obs, R, corr, cfg, seed=3)
+        _, _, rep = mm_solve(obs, R, corr, cfg, seed=3)
+        assert (rep.iterations, rep.restarts, rep.converged) == (iters, restarts, converged)
+        # An extrapolated point's solves are combined from cached ones, not
+        # solved afresh.  random_corr's sign-flipped c row is clipped at the
+        # condition_pd floor (condition number 1e6), which amplifies that
+        # rounding to about eps * 1e6 = 2e-10; without extrapolation the
+        # two loops compute the same bytes.
+        rtol = 1e-10 if prior == "toeplitz_at_floor" and accelerate else 1e-12
+        np.testing.assert_allclose(rep.objectives, objs, rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("accelerate", (False, True))
+    def test_four_prior_solves_per_sweep(self, monkeypatch, accelerate):
+        R, obs, corr, cfg = self._problem("toeplitz", accelerate)
+        calls = []
+        for name in ("solve_RL", "solve_RQ", "solve_RB", "solve_RC"):
+            def counted(self, M, _solve=getattr(CorrelationSet, name), _name=name):
+                calls.append(_name)
+                return _solve(self, M)
+            monkeypatch.setattr(CorrelationSet, name, counted)
+        _, _, rep = mm_solve(obs, R, corr, cfg, seed=3)
+        if accelerate:
+            assert rep.restarts > 0
+        assert len(calls) == 4 + 4 * rep.iterations + 4 * rep.restarts
+
+    def test_non_finite_block_raises_divergence(self):
+        R, obs, corr, cfg = small_problem(21)
+        state = init_state(4, 4, cfg, seed=5)
+        L = state.L.copy()
+        L[0, 0] = np.nan
+        with pytest.raises(DivergenceError, match="non-finite L block at iteration 1") as info:
+            mm_solve(obs, R, corr, cfg, init=replace(state, L=L))
+        assert info.value.iteration == 1
 
 
 class TestConfig:
