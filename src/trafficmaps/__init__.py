@@ -43,7 +43,6 @@ from .admm import (
     admm_solve_p1,
     admm_solve_p2,
     admm_solve_p6,
-    precompute_column_inverses,
     soft_threshold,
     svt,
 )

@@ -149,14 +149,6 @@ class ColumnSolves:
         return np.ascontiguousarray(np.matmul(self._inverses, V.T[:, :, None])[:, :, 0].T)
 
 
-def precompute_column_inverses(routing, mask, diag_scale: float = 1.0,
-                               link_mask: np.ndarray | None = None) -> ColumnSolves:
-    """Build the per-column solve handles used by all ADMM variants."""
-    R = routing_entries(routing)
-    mask = mask.mask if hasattr(mask, "mask") else np.asarray(mask, dtype=bool)
-    return ColumnSolves(R, mask, diag_scale=diag_scale, link_mask=link_mask)
-
-
 def _check_finite(M: np.ndarray, k: int):
     if not np.isfinite(M).all():
         raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)

@@ -8,6 +8,7 @@ every pipeline is deterministic given its configuration and seed.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 import time
@@ -151,6 +152,10 @@ class ExperimentConfig:
         if value is not None:
             self._values[key] = value
 
+    def with_values(self, values: dict) -> "ExperimentConfig":
+        """A new config with `values` set over this one's; this one is unchanged."""
+        return ExperimentConfig({**self._values, **values})
+
     def get(self, key: str):
         kind, default, _ = CONFIG_KEYS[key]
         if key not in self._values:
@@ -214,7 +219,6 @@ class Scenario:
     routing: RoutingMatrix
     truth: TrafficMatrices
     obs: Observations
-    topology: object = None
 
 
 def connected_topology(nodes: int, radius: float, seed: int):
@@ -228,13 +232,38 @@ def connected_topology(nodes: int, radius: float, seed: int):
     )
 
 
-def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
-    """Generate topology, routing, traffic, mask, and observations from config."""
+def _rejected_as_config_error(build):
+    """The recipe boundary: a value the generators reject is a config error."""
+    @functools.wraps(build)
+    def checked(cfg: ExperimentConfig, seed: int):
+        try:
+            return build(cfg, seed)
+        except ValueError as exc:
+            raise ConfigError(f"invalid scenario parameters: {exc}") from exc
+    return checked
+
+
+def build_network(cfg: ExperimentConfig, seed: int) -> RoutingMatrix:
+    """The recipe's topology, OD pairs and multipath routing."""
     topo = connected_topology(cfg.get("synth.nodes"), cfg.get("synth.radius"), seed)
+    od = choose_od_pairs(topo, cfg.get("synth.flows"), seed + 1)
+    return build_routing(topo, od, cfg.get("synth.paths"), seed + 2)
+
+
+def _observe(cfg: ExperimentConfig, routing, truth: TrafficMatrices, mask, seed: int):
+    """The recipe's link and sampled flow counts, with the synth noise."""
+    return observe(routing, truth.nominal, truth.anomalies, mask,
+                   sigma_v=cfg.get("synth.noise_link"), sigma_w=cfg.get("synth.noise_flow"),
+                   seed=seed + 6)
+
+
+@_rejected_as_config_error
+def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
+    """The scenario recipe: every command turns a config and a seed into a
+    scenario here, varying only `synth.*` keys on a copy of its config."""
+    routing = build_network(cfg, seed)
     F = cfg.get("synth.flows")
     T = cfg.get("synth.periods")
-    od = choose_od_pairs(topo, F, seed + 1)
-    routing = build_routing(topo, od, cfg.get("synth.paths"), seed + 2)
     X0 = gen_lowrank_traffic(F, T, cfg.get("synth.rank"), seed + 3)
     A0 = gen_sparse_anomalies(F, T, cfg.get("synth.anomaly_prob"), seed + 4)
     kind = cfg.get("synth.mask")
@@ -246,13 +275,8 @@ def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
         )
     else:
         raise ConfigError(f"synth.mask must be bernoulli or structured, got {kind!r}")
-    obs = observe(
-        routing, X0, A0, mask,
-        sigma_v=cfg.get("synth.noise_link"),
-        sigma_w=cfg.get("synth.noise_flow"),
-        seed=seed + 6,
-    )
-    return Scenario(routing=routing, truth=TrafficMatrices(X0, A0), obs=obs, topology=topo)
+    truth = TrafficMatrices(X0, A0)
+    return Scenario(routing=routing, truth=truth, obs=_observe(cfg, routing, truth, mask, seed))
 
 
 def write_scenario(out_dir: str, scenario: Scenario, cfg: ExperimentConfig, seed: int) -> dict:
@@ -446,28 +470,22 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
     return metrics
 
 
-def _phase_cell(cfg: ExperimentConfig, rank: int, count: int, seed: int,
-                lam_grid) -> tuple[float, int]:
+def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, int]:
     """Best e_{x+a} over the lambda grid for one (rank, sparsity) cell, and the
-    number of lambda solves that diverged."""
+    number of lambda solves that diverged.  `cfg` carries the cell's
+    synth.rank and synth.anomaly_prob."""
     reps = cfg.get("phase.seeds")
     total = 0.0
     diverged = 0
     for rep in range(reps):
         cell_seed = seed + rep
-        topo = connected_topology(cfg.get("synth.nodes"), cfg.get("synth.radius"), cell_seed)
-        F = cfg.get("synth.flows")
-        T = cfg.get("synth.periods")
-        od = choose_od_pairs(topo, F, cell_seed + 1)
-        routing = build_routing(topo, od, cfg.get("synth.paths"), cell_seed + 2)
-        X0 = gen_lowrank_traffic(F, T, rank, cell_seed + 3)
-        A0 = gen_sparse_anomalies(F, T, count / (F * T), cell_seed + 4)
-        if not A0.any():  # degenerate draw; force one anomaly for a valid error metric
-            A0 = A0.copy()
+        scenario = build_scenario(cfg, cell_seed)
+        routing, truth, obs = scenario.routing, scenario.truth, scenario.obs
+        if not truth.anomalies.any():  # degenerate draw; force one anomaly for a valid error metric
+            A0 = truth.anomalies.copy()
             A0[0, 0] = 1.0
-        mask = gen_mask(F, T, cfg.get("synth.sample_prob"), cell_seed + 5)
-        obs = observe(routing, X0, A0, mask)
-        truth = TrafficMatrices(X0, A0)
+            truth = TrafficMatrices(truth.nominal, A0)
+            obs = _observe(cfg, routing, truth, obs.mask, cell_seed)
         best = np.inf
         for lam in lam_grid:
             admm_cfg = AdmmConfig(
@@ -528,8 +546,8 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.
 
     def work(cell):
         i, j, r, s = cell
-        cell_seed = seed + 1000 * (i * len(counts) + j)
-        return i, j, _phase_cell(cfg, r, s, cell_seed, lam_grid)
+        cell_cfg = cfg.with_values({"synth.rank": r, "synth.anomaly_prob": s / (F * T)})
+        return i, j, _phase_cell(cell_cfg, seed + 1000 * (i * len(counts) + j), lam_grid)
 
     diverged = 0
     for i, j, (val, n_diverged) in _map_quietly(work, cells, threads):
@@ -565,31 +583,20 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
     seed = cfg.get("seed")
     start = time.perf_counter()
 
-    def work(item):
-        idx, pi = item
+    def work(pi):
+        # Each replica's masks come from one stream, so they are nested across pi.
+        pi_cfg = cfg.with_values({"synth.mask": "bernoulli", "synth.sample_prob": pi})
         errors = np.zeros(2)
         for rep in range(n_seeds):
-            rep_seed = seed + 17 * rep
-            topo = connected_topology(cfg.get("synth.nodes"), cfg.get("synth.radius"), rep_seed)
-            F = cfg.get("synth.flows")
-            T = cfg.get("synth.periods")
-            od = choose_od_pairs(topo, F, rep_seed + 1)
-            routing = build_routing(topo, od, cfg.get("synth.paths"), rep_seed + 2)
-            X0 = gen_lowrank_traffic(F, T, cfg.get("synth.rank"), rep_seed + 3)
-            A0 = gen_sparse_anomalies(F, T, cfg.get("synth.anomaly_prob"), rep_seed + 4)
-            mask = gen_mask(F, T, pi, rep_seed + 100 * (idx + 1))
-            obs = observe(routing, X0, A0, mask)
-            X, A, _, _ = run_solver(cfg.get("solver.kind"), obs, routing, cfg)
+            sc = build_scenario(pi_cfg, seed + 17 * rep)
+            X, A, _, _ = run_solver(cfg.get("solver.kind"), sc.obs, sc.routing, cfg)
             # an all-zero truth leaves its error undefined: nan here, raised below
             errors += [np.nan if e is None else e
-                       for e in (relative_error(X, X0), relative_error(A, A0))]
-        return idx, errors / n_seeds
+                       for e in (relative_error(X, sc.truth.nominal),
+                                 relative_error(A, sc.truth.anomalies))]
+        return errors / n_seeds
 
-    rows = np.zeros((len(pis), 3))
-    rows[:, 0] = pis
-    items = list(enumerate(pis))
-    for idx, errors in _map_quietly(work, items, threads):
-        rows[idx, 1:] = errors
+    rows = np.column_stack([pis, _map_quietly(work, pis, threads)])
 
     metrics = {}
     for pi, ex, ea in rows:
@@ -605,15 +612,15 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
     return rows
 
 
+@_rejected_as_config_error
 def build_burst_scenario(cfg: ExperimentConfig, seed: int):
-    """Training history plus a bursty test day under the structured mask."""
-    topo = connected_topology(cfg.get("synth.nodes"), cfg.get("synth.radius"), seed)
-    F = cfg.get("synth.flows")
-    T = cfg.get("synth.periods")
-    od = choose_od_pairs(topo, F, seed + 1)
+    """Training history plus a bursty test day under the structured mask, on
+    the recipe's network."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        routing = build_routing(topo, od, cfg.get("synth.paths"), seed + 2)
+        routing = build_network(cfg, seed)
+    F = cfg.get("synth.flows")
+    T = cfg.get("synth.periods")
     K = cfg.get("burst.days")
     traffic = gen_cyclostationary_traffic(
         F, T, K + 1, cfg.get("burst.rank"), seed + 3,

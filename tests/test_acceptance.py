@@ -51,10 +51,10 @@ from trafficmaps.pipelines import (
 from trafficmaps.synth import (
     BurstParams,
     gen_bursty_anomalies,
-    gen_lowrank_traffic,
-    gen_mask,
     observe,
 )
+
+from test_diagnostics import tiny_instance
 
 
 def report(number, passed, detail):
@@ -275,25 +275,13 @@ def test_criterion_08_correlation_aware_advantage():
     report(8, wins >= 8, f"correlation-aware estimator wins in {wins}/10 seeds")
 
 
-def _certificate_instance(seed, F=8, T=8, L=6, r=1, s=2, pi=0.7):
-    rng = np.random.default_rng(seed)
-    R = (rng.random((L, F)) < 0.5).astype(float)
-    X0 = gen_lowrank_traffic(F, T, r, seed + 1) * 3
-    A0 = np.zeros((F, T))
-    idx = rng.choice(F * T, size=s, replace=False)
-    A0.flat[idx] = rng.choice([-1.0, 1.0], size=s)
-    mask = gen_mask(F, T, pi, seed + 2)
-    obs = observe(R, X0, A0, mask)
-    return R, X0, A0, mask, obs
-
-
 def test_criterion_09_recovery_checker_and_certificate_consistency():
     """Closed-form checker sanity plus certificate => recovery on 50 instances."""
     rep = check_recovery_conditions(0, 0, 0, 0, 0, 0, 0, 1)
     assert rep.lambda_min == 0.0 and rep.lambda_max == 1.0 and rep.feasible
     passes = violations = 0
     for seed in range(50):
-        R, X0, A0, mask, obs = _certificate_instance(seed)
+        R, X0, A0, mask, obs = tiny_instance(seed)
         bundle = subspace_bundle(X0, A0)
         for lam in (0.25, 0.4, 0.6):
             try:

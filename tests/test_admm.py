@@ -12,11 +12,12 @@ from trafficmaps.admm import (
     admm_solve_p6,
     default_lambda,
     p1_objective,
-    precompute_column_inverses,
     soft_threshold,
     svt,
 )
-from trafficmaps.model import DivergenceError, Observations, TrafficMatrices, relative_errors
+from trafficmaps.model import (
+    DivergenceError, Observations, TrafficMatrices, relative_errors, routing_entries,
+)
 from trafficmaps.pipelines import ExperimentConfig, build_scenario
 
 
@@ -169,7 +170,7 @@ class TestColumnSolves:
 
     def test_precompute_wrapper(self):
         r, _, _, obs = make_scenario(0, F=12, T=10, N=8, d_c=0.7)
-        handles = precompute_column_inverses(r, obs.mask)
+        handles = ColumnSolves(routing_entries(r), obs.mask.mask)
         assert handles.n_patterns >= 1
 
 

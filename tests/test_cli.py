@@ -26,6 +26,21 @@ def write_cfg(path, text):
     return str(path)
 
 
+def record_scenarios(monkeypatch):
+    """Route pipelines.build_scenario through a recorder; returns the list of
+    (config, seed, scenario) it fills."""
+    real = pipelines.build_scenario
+    calls = []
+
+    def recorded(cfg, seed):
+        scenario = real(cfg, seed)
+        calls.append((cfg, seed, scenario))
+        return scenario
+
+    monkeypatch.setattr(pipelines, "build_scenario", recorded)
+    return calls
+
+
 SMALL_SYNTH = """
 seed=5
 synth.nodes=10
@@ -282,6 +297,20 @@ class TestPhaseGrid:
         for name in ("phase_grid.csv", "phase_meta.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_every_cell_scenario_comes_from_the_recipe(self, tmp_path, monkeypatch):
+        calls = record_scenarios(monkeypatch)
+        cfg = dict(self.TINY_GRID, **{
+            "phase.ranks": "1,2", "phase.sparsity_counts": "2,4", "phase.seeds": 2,
+            "phase.lam_grid": 1, "solver.max_iters": 20,
+        })
+        cmd_phase_grid(ExperimentConfig(cfg), str(tmp_path / "g"), threads=2)
+        assert len(calls) == 8
+        swept = sorted((c.get("synth.rank"), c.get("synth.anomaly_prob") * 400, seed)
+                       for c, seed, _ in calls)
+        assert [(r, round(p)) for r, p, _ in swept] == [
+            (1, 2), (1, 2), (1, 4), (1, 4), (2, 2), (2, 2), (2, 4), (2, 4)]
+        assert len({seed for _, _, seed in swept}) == 8
+
     def test_gray_mapping(self):
         err = np.array([[0.005, 0.01], [1.0, 2.0]])
         gray = phase_error_to_gray(err)
@@ -338,6 +367,29 @@ class TestNetflowSweep:
             cmd_netflow_sweep(ExperimentConfig(self.TINY_SWEEP), str(out), threads=n)
         name = "netflow_sweep.csv"
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_every_replica_comes_from_the_recipe(self, tmp_path, monkeypatch):
+        calls = record_scenarios(monkeypatch)
+        cfg = dict(self.TINY_SWEEP, **{"solver.max_iters": 20})
+        cmd_netflow_sweep(ExperimentConfig(cfg), str(tmp_path / "nf"), threads=2)
+        assert len(calls) == 6
+        assert sorted(c.get("synth.sample_prob") for c, _, _ in calls) == [
+            0.25, 0.25, 0.5, 0.5, 1.0, 1.0]
+
+    def test_masks_nested_across_pi(self, tmp_path, monkeypatch):
+        calls = record_scenarios(monkeypatch)
+        cfg = dict(self.TINY_SWEEP, **{"netflow.pis": "0.1,0.25,0.5,0.9",
+                                       "solver.max_iters": 20})
+        cmd_netflow_sweep(ExperimentConfig(cfg), str(tmp_path / "nf"))
+        rep_seeds = {seed for _, seed, _ in calls}
+        assert len(rep_seeds) == 2
+        for rep_seed in rep_seeds:
+            masks = [sc.obs.mask.mask for c, seed, sc in
+                     sorted(calls, key=lambda call: call[0].get("synth.sample_prob"))
+                     if seed == rep_seed]
+            assert len(masks) == 4
+            for low, high in zip(masks, masks[1:]):
+                assert (low <= high).all() and low.sum() < high.sum()
 
     def test_all_zero_anomalies_keep_finished_cells(self, tmp_path, capsys):
         cfg = "".join(f"{k}={v}\n" for k, v in self.TINY_SWEEP.items())
@@ -560,6 +612,21 @@ class TestCliPlumbing:
         out = tmp_path / "sol"
         assert main(["solve", "--config", solve_cfg, "--out", str(out), "--solver", "p1"]) == 0
         assert read_manifest(out / "report.txt")["solver"] == "p1"
+
+    @pytest.mark.parametrize("command, setting", [
+        ("synth", "synth.rank=20"),
+        ("phase-grid", "phase.sparsity_counts=150"),
+        ("netflow-sweep", "netflow.pis=0.5,1.5"),
+        ("burst-compare", "burst.n_anomalous=20"),
+    ])
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, command, setting):
+        cfg = write_cfg(tmp_path / "cfg.txt", (
+            "synth.flows=10\nsynth.periods=10\nphase.ranks=1\nphase.lam_grid=1\n"
+            "netflow.seeds=1\nburst.days=2\nsolver.max_iters=20\n"
+            "solver.mm_max_iters=20\n" + setting + "\n"))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid scenario parameters")
 
     def test_missing_scenario_config_is_config_error(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path / "x")]) == 2
