@@ -305,11 +305,9 @@ class TestPhaseGrid:
         })
         cmd_phase_grid(ExperimentConfig(cfg), str(tmp_path / "g"), threads=2)
         assert len(calls) == 8
-        swept = sorted((c.get("synth.rank"), c.get("synth.anomaly_prob") * 400, seed)
-                       for c, seed, _ in calls)
-        assert [(r, round(p)) for r, p, _ in swept] == [
-            (1, 2), (1, 2), (1, 4), (1, 4), (2, 2), (2, 2), (2, 4), (2, 4)]
-        assert len({seed for _, _, seed in swept}) == 8
+        assert sorted((c.get("synth.rank"), c.get("synth.anomaly_prob")) for c, _, _ in calls) == [
+            (r, s / 400) for r in (1, 2) for s in (2, 4) for _ in range(2)]
+        assert len({seed for _, seed, _ in calls}) == 8
 
     def test_gray_mapping(self):
         err = np.array([[0.005, 0.01], [1.0, 2.0]])
