@@ -42,6 +42,7 @@ from .admm import (
     AdmmConfig,
     admm_solve_p1,
     admm_solve_p2,
+    admm_solve_p2_path,
     admm_solve_p6,
     soft_threshold,
     svt,

@@ -4,8 +4,12 @@ One splitting loop, `_split`, serves all three: auxiliary copies O of X and B
 of A, so the routing matrix never couples a prox step.  Each iteration
 soft-thresholds A, solves for O column by column, thresholds the singular
 values of X and solves for B; each solve is one batched product over the
-per-column inverses.  The estimators differ only in their data-fit term,
-which a per-estimator fit step supplies as targets for O + B:
+per-column inverses.  The loop runs a stack of problems that differ only in
+their l1 weight, with one stacked call per kernel and iteration:
+`admm_solve_p2_path` solves p2 over a grid of weights this way, and
+`admm_solve_p2`, p1 and p6 run a stack of one.  The estimators differ only in
+their data-fit term, which a per-estimator fit step supplies as targets for
+O + B:
 
 * p2, the equality-constrained noiseless program: multipliers on the link
   and flow constraints (`_Multipliers`);
@@ -63,27 +67,33 @@ class AdmmConfig:
         )
 
 
-def soft_threshold(M, tau: float):
-    """Entrywise sgn(m) * max(|m| - tau, 0); the l1 prox."""
-    if tau < 0:
+def soft_threshold(M, tau):
+    """Entrywise sgn(m) * max(|m| - tau, 0); the l1 prox.  `tau` may be an
+    array that broadcasts against M, such as one threshold per stacked matrix."""
+    if np.less(tau, 0).any():
         raise ValueError("threshold must be nonnegative")
     M = np.asarray(M, dtype=np.float64)
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
 def svt(M: np.ndarray, tau: float) -> np.ndarray:
-    """Singular value thresholding, the nuclear-norm prox."""
+    """Singular value thresholding, the nuclear-norm prox, of a matrix or of
+    each matrix of a stack: one SVD call, then a per-matrix reconstruction."""
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     M = np.asarray(M, dtype=np.float64)
     if not np.isfinite(M).all():
         raise ValueError("cannot take the SVD of a non-finite matrix")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    stack = M.reshape((-1,) + M.shape[-2:])
+    U, s, Vt = np.linalg.svd(stack, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
-    keep = s > 0
-    if not keep.any():
-        return np.zeros_like(M)
-    return (U[:, keep] * s[keep]) @ Vt[keep]
+    out = np.zeros_like(stack)
+    # singular values come in descending order, so the kept ones are a prefix
+    for i in range(len(stack)):
+        r = np.count_nonzero(s[i])
+        if r:
+            out[i] = (U[i, :, :r] * s[i, :r]) @ Vt[i, :r]
+    return out.reshape(M.shape)
 
 
 class ColumnSolves:
@@ -146,12 +156,20 @@ class ColumnSolves:
         return self._inverses[t] @ v
 
     def apply(self, V: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(np.matmul(self._inverses, V.T[:, :, None])[:, :, 0].T)
+        """Solve every column of V, or of each matrix of a stack, at once."""
+        W = np.matmul(self._inverses, V.swapaxes(-1, -2)[..., None])[..., 0]
+        return np.ascontiguousarray(W.swapaxes(-1, -2))
 
 
-def _check_finite(M: np.ndarray, k: int):
-    if not np.isfinite(M).all():
-        raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
+def _norms(D: np.ndarray) -> list:
+    """Frobenius norm of each matrix of a stack, one `np.linalg.norm` each, so
+    a matrix gets the same bytes in any stack."""
+    return [float(np.linalg.norm(d)) for d in D]
+
+
+def _non_finite(D: np.ndarray) -> np.ndarray:
+    """Which matrices of a stack hold a non-finite entry."""
+    return ~np.isfinite(D).all(axis=(1, 2))
 
 
 def default_lambda(F: int, T: int) -> float:
@@ -177,30 +195,36 @@ class _FixedTargets:
 
 
 class _Multipliers:
-    """p2 fit step: dual ascent on the constraints Y = R(O+B), Pi(Z) = Pi(O+B).
+    """p2 fit step: dual ascent on the constraints Y = R(O+B), Pi(Z) = Pi(O+B),
+    with one pair of multipliers per problem of a stack of k.
 
-    The targets are Y + M_y/c and Z + M_z/c.  The multipliers absorb the last
-    residual just before each sweep, so the first sweep sees c*Y and c*Z and
-    the final multipliers lag the final residuals, as M_a and M_x do.
+    The targets are Y + M_y/c and Z + M_z/c.  The multipliers start at c*Y and
+    c*Z and absorb each residual as soon as it is measured, so each sweep sees
+    the residuals of the sweep before it.
     """
 
-    def __init__(self, R: np.ndarray, obs: Observations, c: float):
+    def __init__(self, R: np.ndarray, obs: Observations, c: float, k: int):
         self._R, self._obs, self._c = R, obs, c
-        self.M_y, self.M_z = np.zeros_like(obs.link_counts), np.zeros(obs.flow_counts.shape)
-        self._r_y, self._r_z = obs.link_counts, obs.flow_counts
+        self.M_y = np.zeros((k,) + obs.link_counts.shape)
+        self.M_z = np.zeros((k,) + obs.flow_counts.shape)
+        self.M_y += c * obs.link_counts
+        self.M_z += c * obs.flow_counts
 
     def data(self):
-        self.M_y += self._c * self._r_y
-        self.M_z += self._c * self._r_z
         return (self._R.T @ (self._obs.link_counts + self.M_y / self._c),
                 self._obs.flow_counts + self.M_z / self._c)
 
     def update(self, OB: np.ndarray):
         obs = self._obs
-        self._r_y = obs.link_counts - self._R @ OB
-        self._r_z = np.where(obs.mask.mask, obs.flow_counts - OB, 0.0)
-        return {"r_y": float(np.linalg.norm(self._r_y)),
-                "r_z": float(np.linalg.norm(self._r_z))}, ()
+        r_y = obs.link_counts - self._R @ OB
+        r_z = np.where(obs.mask.mask, obs.flow_counts - OB, 0.0)
+        self.M_y += self._c * r_y
+        self.M_z += self._c * r_z
+        return {"r_y": _norms(r_y), "r_z": _norms(r_z)}, ()
+
+    def narrow(self, keep: list):
+        """Keep the multipliers of the problems that stay in the stack."""
+        self.M_y, self.M_z = self.M_y[keep], self.M_z[keep]
 
 
 class _Outliers:
@@ -221,53 +245,103 @@ class _Outliers:
         O_y = soft_threshold(_on_links(obs.link_counts - self._R @ OB, self._link_mask),
                              cfg.lambda_y)
         O_z = soft_threshold(np.where(obs.mask.mask, obs.flow_counts - OB, 0.0), cfg.lambda_z)
-        changes = (np.linalg.norm(O_y - self.O_y), np.linalg.norm(O_z - self.O_z))
+        changes = (_norms(O_y - self.O_y), _norms(O_z - self.O_z))
         self.O_y, self.O_z = O_y, O_z
         return {}, changes
 
 
 def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: float,
-           nuclear: float, l1: float, link_mask: np.ndarray | None = None):
-    """The splitting loop shared by p1, p2 and p6.
+           nuclear: float, l1, link_mask: np.ndarray | None = None) -> list:
+    """The splitting loop shared by p1, p2 and p6, run on a stack of problems
+    that differ only in their l1 weight.
 
-    Minimizes nuclear*||X||_* + l1*||A||_1 + weight * (fit of O + B to the fit
-    step's targets) subject to O = X and B = A.  Returns the final X, A and a
-    report without objective.
+    Problem i minimizes nuclear*||X||_* + l1[i]*||A||_1 + weight * (fit of
+    O + B to the fit step's targets) subject to O = X and B = A.  The problems
+    share one ColumnSolves, and each iteration makes one stacked call to each
+    kernel; every operation acts on each problem alone, so a problem gets the
+    same bytes in any stack.  A problem leaves the stack when it converges or
+    its iterate turns non-finite; the others go on, and the fit step narrows
+    its per-problem state to them (p1 and p6 run a stack of one, so only the
+    p2 fit step is ever narrowed).  Returns, per weight in order, (X, A,
+    report without objective) or the DivergenceError that ended it.
     """
     mask = obs.mask.mask
     c = cfg.c
     tol_primal, tol_dual = cfg.resolved_tols(obs.link_counts)
     s = c / weight
     handles = ColumnSolves(R, mask, diag_scale=s, link_mask=link_mask)
-    X, A, B, O, M_a, M_x = (np.zeros(mask.shape) for _ in range(6))
-    hist: dict = {}
-    converged = False
-    k = 0
+    tau = np.reshape(l1, (-1, 1, 1)) / c
+    live = np.arange(len(tau))  # the weight index of each problem in the stack
+    results: list = [None] * len(tau)
+    hists: list = [{} for _ in live]
+    X, A, B, O, M_a, M_x = (np.zeros((len(tau),) + mask.shape) for _ in range(6))
     for k in range(cfg.max_iters):
         M_a += c * (B - A)
         M_x += c * (O - X)
-        X_old, A_old = X, A
 
         # With G = s*I + Pi + R' Lambda R, the O update G^{-1}(V - (Pi + R' Lambda R) B)
         # equals G^{-1}(V + s*B) - B, so no data-fit product is formed; B likewise.
         data_y, data_z = fit.data()
-        A = soft_threshold(B + M_a / c, l1 / c)
+        A_next = soft_threshold(B + M_a / c, tau)
+        step_a, A = _norms(A_next - A), A_next
         O = handles.apply((c * X - M_x) / weight + data_y + data_z + s * B) - B
-        _check_finite(O, k)
-        X = svt(O + M_x / c, nuclear / c)
-        _check_finite(X, k)
+        diverged = _non_finite(O)
+        if diverged.any():
+            O[diverged] = 0.0  # keeps the SVD defined; these problems leave after this sweep
+        X_next = svt(O + M_x / c, nuclear / c)
+        step_x, X = _norms(X_next - X), X_next
+        diverged |= _non_finite(X)
         B = handles.apply((c * A - M_a) / weight + data_y + data_z + s * O) - O
 
         residuals, changes = fit.update(O + B)
-        r_ba = float(np.linalg.norm(B - A))
-        r_ox = float(np.linalg.norm(O - X))
-        delta = float(max(np.linalg.norm(X - X_old), np.linalg.norm(A - A_old), *changes))
-        for name, value in {**residuals, "r_ba": r_ba, "r_ox": r_ox, "delta": delta}.items():
-            hist.setdefault(name, []).append(value)
-        if max(*residuals.values(), r_ba, r_ox) < tol_primal and delta < tol_dual:
-            converged = True
+        residuals |= {"r_ba": _norms(B - A), "r_ox": _norms(O - X)}
+        steps = (step_x, step_a, *changes)
+        keep = []
+        for j, i in enumerate(live):
+            primal = [values[j] for values in residuals.values()]
+            delta = max(step[j] for step in steps)
+            for name, value in zip((*residuals, "delta"), (*primal, delta)):
+                hists[i].setdefault(name, []).append(value)
+            if diverged[j]:
+                results[i] = DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
+            elif max(primal) < tol_primal and delta < tol_dual:
+                results[i] = (X[j], A[j], SolverReport(converged=True, iterations=k + 1,
+                                                       residuals=hists[i]))
+            keep.append(results[i] is None)
+        if not any(keep):
             break
-    return X, A, SolverReport(converged=converged, iterations=k + 1, residuals=hist)
+        if not all(keep):
+            live, tau = live[keep], tau[keep]
+            X, A, B, O, M_a, M_x = (M[keep] for M in (X, A, B, O, M_a, M_x))
+            fit.narrow(keep)
+    for j, i in enumerate(live):
+        if results[i] is None:  # still in the stack after max_iters
+            results[i] = (X[j], A[j], SolverReport(converged=False, iterations=cfg.max_iters,
+                                                   residuals=hists[i]))
+    return results
+
+
+def _single(results: list):
+    """The one result of a stack of one; a divergence is raised."""
+    (result,) = results
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
+
+
+def admm_solve_p2_path(obs: Observations, routing, cfg: AdmmConfig, lams) -> list:
+    """p2 at every l1 weight of `lams`, solved as one stack (see `_split`).
+
+    The weights share cfg's penalty, iteration limit and tolerances; cfg.lam
+    is not read.  Returns, per weight in order, (X_hat, A_hat, report) or the
+    DivergenceError of a weight whose iterates turned non-finite.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    if lams.ndim != 1 or lams.size == 0 or not (lams > 0).all():
+        raise ValueError("lams must be a non-empty list of positive weights")
+    R = routing_entries(routing)
+    return _split(obs, R, cfg, _Multipliers(R, obs, cfg.c, lams.size), weight=cfg.c,
+                  nuclear=1.0, l1=lams)
 
 
 def admm_solve_p2(obs: Observations, routing, cfg: AdmmConfig | None = None):
@@ -277,9 +351,8 @@ def admm_solve_p2(obs: Observations, routing, cfg: AdmmConfig | None = None):
     residuals drop below tol_primal and the iterate change below tol_dual.
     """
     cfg = cfg or AdmmConfig()
-    R = routing_entries(routing)
     lam = cfg.lam if cfg.lam is not None else default_lambda(*obs.flow_counts.shape)
-    return _split(obs, R, cfg, _Multipliers(R, obs, cfg.c), weight=cfg.c, nuclear=1.0, l1=lam)
+    return _single(admm_solve_p2_path(obs, routing, cfg, [lam]))
 
 
 def p1_objective(X, A, obs: Observations, routing, lambda_star: float, lambda_1: float) -> float:
@@ -298,8 +371,8 @@ def admm_solve_p1(obs: Observations, routing, cfg: AdmmConfig | None = None):
     """Penalized estimator: quadratic data fit plus nuclear and l1 penalties."""
     cfg = cfg or AdmmConfig()
     R = routing_entries(routing)
-    X, A, report = _split(obs, R, cfg, _FixedTargets(R, obs), weight=1.0,
-                          nuclear=cfg.lambda_star, l1=cfg.lambda_1)
+    X, A, report = _single(_split(obs, R, cfg, _FixedTargets(R, obs), weight=1.0,
+                                  nuclear=cfg.lambda_star, l1=cfg.lambda_1))
     objective = p1_objective(X, A, obs, routing, cfg.lambda_star, cfg.lambda_1)
     return X, A, replace(report, objective=objective)
 
@@ -332,7 +405,8 @@ def admm_solve_p6(obs: Observations, routing, cfg: AdmmConfig | None = None,
         if link_mask.shape != obs.link_counts.shape:
             raise ValueError("link mask must match link counts")
     fit = _Outliers(R, obs, cfg, link_mask)
-    X, A, report = _split(obs, R, cfg, fit, weight=1.0, nuclear=cfg.lambda_star,
-                          l1=cfg.lambda_1, link_mask=link_mask)
-    objective = p6_objective(X, A, fit.O_y, fit.O_z, obs, routing, link_mask, cfg)
-    return X, A, fit.O_y, fit.O_z, replace(report, objective=objective)
+    X, A, report = _single(_split(obs, R, cfg, fit, weight=1.0, nuclear=cfg.lambda_star,
+                                  l1=cfg.lambda_1, link_mask=link_mask))
+    O_y, O_z = fit.O_y[0], fit.O_z[0]
+    objective = p6_objective(X, A, O_y, O_z, obs, routing, link_mask, cfg)
+    return X, A, O_y, O_z, replace(report, objective=objective)

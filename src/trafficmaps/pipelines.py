@@ -13,13 +13,16 @@ import os
 import sys
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .admm import AdmmConfig, admm_solve_p1, admm_solve_p2, admm_solve_p6, default_lambda
+from .admm import (
+    AdmmConfig, admm_solve_p1, admm_solve_p2, admm_solve_p2_path, admm_solve_p6, default_lambda,
+)
 from .correlation import (
     CorrelationSet,
     TrainingData,
@@ -470,13 +473,19 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
     return metrics
 
 
-def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, int]:
+def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, Counter]:
     """Best e_{x+a} over the lambda grid for one (rank, sparsity) cell, and the
-    number of lambda solves that diverged.  `cfg` carries the cell's
-    synth.rank and synth.anomaly_prob."""
+    counts of lambda solves that diverged and converged and of their summed
+    iterations.  `cfg` carries the cell's synth.rank and synth.anomaly_prob."""
     reps = cfg.get("phase.seeds")
+    admm_cfg = AdmmConfig(
+        c=cfg.get("solver.c"),
+        max_iters=cfg.get("solver.max_iters"),
+        tol_primal=cfg.get("solver.tol_primal"),
+        tol_dual=cfg.get("solver.tol_dual"),
+    )
     total = 0.0
-    diverged = 0
+    tallies = Counter()
     for rep in range(reps):
         cell_seed = seed + rep
         scenario = build_scenario(cfg, cell_seed)
@@ -487,23 +496,18 @@ def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, int]
             truth = TrafficMatrices(truth.nominal, A0)
             obs = _observe(cfg, routing, truth, obs.mask, cell_seed)
         best = np.inf
-        for lam in lam_grid:
-            admm_cfg = AdmmConfig(
-                lam=lam,
-                c=cfg.get("solver.c"),
-                max_iters=cfg.get("solver.max_iters"),
-                tol_primal=cfg.get("solver.tol_primal"),
-                tol_dual=cfg.get("solver.tol_dual"),
-            )
-            try:
-                X, A, _ = admm_solve_p2(obs, routing, admm_cfg)
-            except DivergenceError:
-                diverged += 1  # a diverged lambda is skipped; other errors propagate
+        # a diverged lambda is skipped; other errors propagate out of the path
+        for result in admm_solve_p2_path(obs, routing, admm_cfg, lam_grid):
+            if isinstance(result, DivergenceError):
+                tallies["diverged_lambdas"] += 1
                 continue
+            X, A, report = result
+            tallies["converged_lambdas"] += report.converged
+            tallies["lambda_iterations"] += report.iterations
             _, _, e_sum = relative_errors(TrafficMatrices(X, A), truth)
             best = min(best, e_sum)
         total += best if np.isfinite(best) else 1.0
-    return total / reps, diverged
+    return total / reps, tallies
 
 
 def _map_quietly(work, items, threads: int) -> list:
@@ -533,6 +537,9 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.
         raise ConfigError("phase grids need rank >= 1 and sparsity count >= 1")
     F = cfg.get("synth.flows")
     T = cfg.get("synth.periods")
+    if max(counts) > F * T:
+        raise ConfigError(f"phase.sparsity_counts must be at most synth.flows * synth.periods "
+                          f"= {F * T}, got {max(counts)}")
     base_lam = default_lambda(F, T)
     lam_grid = np.geomspace(
         cfg.get("phase.lam_lo") * base_lam,
@@ -549,10 +556,10 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.
         cell_cfg = cfg.with_values({"synth.rank": r, "synth.anomaly_prob": s / (F * T)})
         return i, j, _phase_cell(cell_cfg, seed + 1000 * (i * len(counts) + j), lam_grid)
 
-    diverged = 0
-    for i, j, (val, n_diverged) in _map_quietly(work, cells, threads):
+    tallies = Counter(diverged_lambdas=0, converged_lambdas=0, lambda_iterations=0)
+    for i, j, (val, cell_tallies) in _map_quietly(work, cells, threads):
         errors[i, j] = val
-        diverged += n_diverged
+        tallies.update(cell_tallies)
 
     os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "phase_grid.csv"), errors)
@@ -564,7 +571,7 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.
             "sparsity_counts": ",".join(str(s) for s in counts),
             "lambda_grid": ",".join(f"{v:.6e}" for v in lam_grid),
             "white_cells": int((errors <= 0.01).sum()),
-            "diverged_lambdas": diverged,
+            **tallies,
         },
     )
     write_runrecord(
@@ -665,6 +672,9 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     seed = cfg.get("seed")
     if cfg.get("burst.days") < 2:
         raise ConfigError("burst.days must be at least 2")
+    if cfg.get("burst.n_anomalous") > cfg.get("synth.flows"):
+        raise ConfigError(f"burst.n_anomalous must be at most synth.flows = "
+                          f"{cfg.get('synth.flows')}, got {cfg.get('burst.n_anomalous')}")
     start = time.perf_counter()
     routing, X_train, truth, bp, obs = build_burst_scenario(cfg, seed)
     F, T = truth.shape

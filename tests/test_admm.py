@@ -1,14 +1,17 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+import trafficmaps.admm as admm
 from trafficmaps.admm import (
     AdmmConfig,
     ColumnSolves,
     admm_solve_p1,
     admm_solve_p2,
+    admm_solve_p2_path,
     admm_solve_p6,
     default_lambda,
     p1_objective,
@@ -45,6 +48,16 @@ class TestSoftThreshold:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             soft_threshold(np.ones(3), -0.1)
+        with pytest.raises(ValueError):
+            soft_threshold(np.ones((2, 3)), np.array([[0.1], [-0.1]]))
+
+    def test_one_threshold_per_stacked_matrix(self):
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((3, 4, 5))
+        taus = np.array([0.0, 0.5, 2.0])
+        out = soft_threshold(stack, taus[:, None, None])
+        for M, tau, A in zip(stack, taus, out):
+            assert np.array_equal(A, soft_threshold(M, tau))
 
     def test_prox_property_scalar_grid(self):
         # Brute-force oracle: minimize 0.5 (x - m)^2 + tau |x| per scalar.
@@ -74,6 +87,15 @@ class TestSvt:
     def test_diagonal_example(self):
         out = svt(np.diag([3.0, 1.0]), 2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((3, 6, 5))
+        stack[1] *= 0.01  # every singular value of this one falls below tau
+        out = svt(stack, 0.5)
+        assert not out[1].any()
+        for M, X in zip(stack, out):
+            assert np.array_equal(X, svt(M, 0.5))
 
     def test_non_finite_rejected(self):
         M = np.ones((2, 2))
@@ -225,6 +247,66 @@ class TestAdmmP2:
             sols.append((X, A))
         assert np.abs(sols[0][0] - sols[1][0]).max() < 1e-6
         assert np.abs(sols[0][1] - sols[1][1]).max() < 1e-6
+
+
+class TestAdmmP2Path:
+    # (seed, scenario, lambda multiples, max_iters, iterations per lambda): every
+    # lambda converging at its own iteration, and stacks in which some lambdas
+    # converge while the others stay in the stack until max_iters.
+    CASES = [
+        (1, dict(F=12, T=10, N=8, d_c=0.7), (0.3, 1.0, 3.0), 2000, (1530, 95, 188)),
+        (6, dict(F=16, T=14, N=8, d_c=0.7), (0.5, 1.0, 2.0, 4.0), 200, (200, 153, 154, 200)),
+        (3, dict(F=20, T=20, N=9, d_c=0.65), (0.3, 1.0, 3.0), 400, (400, 100, 163)),
+        (2, dict(F=24, T=24, rho=2, p=0.05, N=10, d_c=0.6), (0.3, 1.0, 3.0), 600, (600, 130, 516)),
+    ]
+
+    @staticmethod
+    def lambdas(kw, scales):
+        return default_lambda(kw["F"], kw["T"]) * np.array(scales)
+
+    @pytest.mark.parametrize("seed, kw, scales, max_iters, iterations", CASES)
+    def test_each_lambda_matches_its_own_solve(self, seed, kw, scales, max_iters, iterations):
+        r, _, _, obs = make_scenario(seed, **kw)
+        cfg = AdmmConfig(max_iters=max_iters)
+        lams = self.lambdas(kw, scales)
+        path = admm_solve_p2_path(obs, r, cfg, lams)
+        assert [rep.iterations for _, _, rep in path] == list(iterations)
+        for lam, (X, A, rep) in zip(lams, path):
+            X1, A1, rep1 = admm_solve_p2(obs, r, replace(cfg, lam=lam))
+            assert np.array_equal(X, X1) and np.array_equal(A, A1)
+            assert rep.iterations == rep1.iterations
+            assert rep.converged == rep1.converged == (rep.iterations < max_iters)
+            assert rep.residuals == rep1.residuals
+
+    def test_non_finite_lambda_leaves_alone(self, monkeypatch):
+        seed, kw, scales, max_iters, _ = self.CASES[2]
+        r, _, _, obs = make_scenario(seed, **kw)
+        cfg = AdmmConfig(max_iters=max_iters)
+        lams = self.lambdas(kw, scales)
+        alone = [admm_solve_p2(obs, r, replace(cfg, lam=lam)) for lam in lams]
+        real = admm.soft_threshold
+
+        def poisoned(M, tau):  # the middle lambda's anomaly iterate turns nan
+            out = real(M, tau)
+            out[np.ravel(tau) == lams[1] / cfg.c] = np.nan
+            return out
+
+        monkeypatch.setattr(admm, "soft_threshold", poisoned)
+        path = admm_solve_p2_path(obs, r, cfg, lams)
+        assert isinstance(path[1], DivergenceError)
+        assert path[1].iteration == 1  # the nan reaches O through B one sweep later
+        for i in (0, 2):
+            X, A, rep = path[i]
+            X1, A1, rep1 = alone[i]
+            assert np.array_equal(X, X1) and np.array_equal(A, A1)
+            assert (rep.iterations, rep.converged, rep.residuals) == (
+                rep1.iterations, rep1.converged, rep1.residuals)
+
+    @pytest.mark.parametrize("lams", [[], [0.1, 0.0], [0.1, np.nan], [[0.1]]])
+    def test_rejects_bad_lambdas(self, lams):
+        r, _, _, obs = make_scenario(1, F=12, T=10, N=8, d_c=0.7)
+        with pytest.raises(ValueError):
+            admm_solve_p2_path(obs, r, AdmmConfig(), lams)
 
 
 class TestAdmmP1:

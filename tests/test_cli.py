@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+import trafficmaps.admm as admm
 import trafficmaps.diagnostics as diagnostics
 import trafficmaps.pipelines as pipelines
+from trafficmaps.admm import default_lambda
 from trafficmaps.cli import main
 from trafficmaps.fileio import read_manifest, read_matrix, read_pgm
 from trafficmaps.model import DivergenceError
@@ -252,29 +254,60 @@ class TestPhaseGrid:
     }
 
     def test_solver_bug_propagates(self, tmp_path, monkeypatch):
-        def broken(obs, routing, cfg):
+        def broken(obs, routing, cfg, lams):
             raise ValueError("solver bug")
 
-        monkeypatch.setattr(pipelines, "admm_solve_p2", broken)
+        monkeypatch.setattr(pipelines, "admm_solve_p2_path", broken)
         with pytest.raises(ValueError, match="solver bug"):
             cmd_phase_grid(ExperimentConfig(self.TINY_GRID), str(tmp_path / "g"))
 
     def test_diverged_lambda_is_skipped(self, tmp_path, monkeypatch):
-        real = pipelines.admm_solve_p2
-        lams = []
+        real = pipelines.admm_solve_p2_path
+        calls = []
 
-        def first_diverges(obs, routing, cfg):
-            lams.append(cfg.lam)
-            if len(lams) == 1:
-                raise DivergenceError("diverged", iteration=0)
-            return real(obs, routing, cfg)
+        def first_diverges(obs, routing, cfg, lams):
+            calls.append(list(lams))
+            results = real(obs, routing, cfg, lams)
+            return [DivergenceError("diverged", iteration=0)] + results[1:]
 
-        monkeypatch.setattr(pipelines, "admm_solve_p2", first_diverges)
+        monkeypatch.setattr(pipelines, "admm_solve_p2_path", first_diverges)
         errors = cmd_phase_grid(ExperimentConfig(self.TINY_GRID), str(tmp_path / "g"))
-        assert len(lams) == 3  # the cell went on to the other lambdas
+        assert len(calls) == 1 and len(calls[0]) == 3  # the cell went on to the other lambdas
         assert errors[0, 0] < 1e-3
         meta = read_manifest(tmp_path / "g" / "phase_meta.txt")
         assert meta["diverged_lambdas"] == "1"
+
+    def test_meta_counts_lambda_outcomes(self, tmp_path, monkeypatch):
+        # Poison the smallest lambda's anomaly iterate inside the real stacked
+        # solve: it must leave as a DivergenceError and be counted, while the
+        # other lambdas' reports are summed into the converged and iteration counts.
+        cfg = dict(self.TINY_GRID, **{"phase.ranks": "1,2", "phase.sparsity_counts": "4,40"})
+        base = default_lambda(20, 20)
+        target = np.geomspace(0.3 * base, 3.0 * base, 3)[0]  # c = 1, so tau = lambda
+        real_threshold, real_path = admm.soft_threshold, pipelines.admm_solve_p2_path
+        results = []
+
+        def poisoned(M, tau):
+            out = real_threshold(M, tau)
+            out[np.ravel(tau) == target] = np.nan
+            return out
+
+        def recording(*args):
+            out = real_path(*args)
+            results.extend(out)
+            return out
+
+        monkeypatch.setattr(admm, "soft_threshold", poisoned)
+        monkeypatch.setattr(pipelines, "admm_solve_p2_path", recording)
+        cmd_phase_grid(ExperimentConfig(cfg), str(tmp_path / "g"), threads=2)
+        diverged = [r for r in results if isinstance(r, DivergenceError)]
+        reports = [r[2] for r in results if not isinstance(r, DivergenceError)]
+        assert len(results) == 12 and len(diverged) == 4
+        assert 0 < sum(r.converged for r in reports) < 8
+        meta = read_manifest(tmp_path / "g" / "phase_meta.txt")
+        assert meta["diverged_lambdas"] == "4"
+        assert meta["converged_lambdas"] == str(sum(r.converged for r in reports))
+        assert meta["lambda_iterations"] == str(sum(r.iterations for r in reports))
 
     def test_threaded_runs_leave_warning_filters_alone(self, tmp_path):
         cfg = dict(self.TINY_GRID, **{
@@ -624,7 +657,11 @@ class TestCliPlumbing:
             "solver.mm_max_iters=20\n" + setting + "\n"))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: invalid scenario parameters")
+        # the commands check these keys themselves; the generators reject the others
+        key = setting.split("=")[0]
+        message = key if key in ("phase.sparsity_counts", "burst.n_anomalous") else (
+            "invalid scenario parameters")
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
     def test_missing_scenario_config_is_config_error(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path / "x")]) == 2
