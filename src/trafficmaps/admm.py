@@ -87,12 +87,11 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
     stack = M.reshape((-1,) + M.shape[-2:])
     U, s, Vt = np.linalg.svd(stack, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
-    out = np.zeros_like(stack)
+    out = np.empty_like(stack)
     # singular values come in descending order, so the kept ones are a prefix
     for i in range(len(stack)):
         r = np.count_nonzero(s[i])
-        if r:
-            out[i] = (U[i, :, :r] * s[i, :r]) @ Vt[i, :r]
+        out[i] = (U[i, :, :r] * s[i, :r]) @ Vt[i, :r] if r else 0.0
     return out.reshape(M.shape)
 
 
@@ -169,6 +168,8 @@ def _norms(D: np.ndarray) -> list:
 
 def _non_finite(D: np.ndarray) -> np.ndarray:
     """Which matrices of a stack hold a non-finite entry."""
+    if np.isfinite(D).all():  # one flat check in the common case
+        return np.zeros(len(D), dtype=bool)
     return ~np.isfinite(D).all(axis=(1, 2))
 
 
@@ -271,7 +272,7 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
     s = c / weight
     handles = ColumnSolves(R, mask, diag_scale=s, link_mask=link_mask)
     tau = np.reshape(l1, (-1, 1, 1)) / c
-    live = np.arange(len(tau))  # the weight index of each problem in the stack
+    live = list(range(len(tau)))  # the weight index of each problem in the stack
     results: list = [None] * len(tau)
     hists: list = [{} for _ in live]
     X, A, B, O, M_a, M_x = (np.zeros((len(tau),) + mask.shape) for _ in range(6))
@@ -295,12 +296,12 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
 
         residuals, changes = fit.update(O + B)
         residuals |= {"r_ba": _norms(B - A), "r_ox": _norms(O - X)}
-        steps = (step_x, step_a, *changes)
+        names = (*residuals, "delta")
         keep = []
         for j, i in enumerate(live):
             primal = [values[j] for values in residuals.values()]
-            delta = max(step[j] for step in steps)
-            for name, value in zip((*residuals, "delta"), (*primal, delta)):
+            delta = max(step_x[j], step_a[j], *(change[j] for change in changes))
+            for name, value in zip(names, (*primal, delta)):
                 hists[i].setdefault(name, []).append(value)
             if diverged[j]:
                 results[i] = DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
@@ -311,7 +312,8 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
         if not any(keep):
             break
         if not all(keep):
-            live, tau = live[keep], tau[keep]
+            live = [i for i, kept in zip(live, keep) if kept]
+            tau = tau[keep]
             X, A, B, O, M_a, M_x = (M[keep] for M in (X, A, B, O, M_a, M_x))
             fit.narrow(keep)
     for j, i in enumerate(live):
