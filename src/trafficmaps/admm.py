@@ -263,7 +263,8 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
     same bytes in any stack.  A problem leaves the stack when it converges or
     its iterate turns non-finite; the others go on, and the fit step narrows
     its per-problem state to them (p1 and p6 run a stack of one, so only the
-    p2 fit step is ever narrowed).  Returns, per weight in order, (X, A,
+    p2 fit step is ever narrowed).  A result is copied out of the stack, so it
+    does not keep the stack alive.  Returns, per weight in order, (X, A,
     report without objective) or the DivergenceError that ended it.
     """
     mask = obs.mask.mask
@@ -306,8 +307,8 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
             if diverged[j]:
                 results[i] = DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
             elif max(primal) < tol_primal and delta < tol_dual:
-                results[i] = (X[j], A[j], SolverReport(converged=True, iterations=k + 1,
-                                                       residuals=hists[i]))
+                results[i] = (X[j].copy(), A[j].copy(),
+                              SolverReport(converged=True, iterations=k + 1, residuals=hists[i]))
             keep.append(results[i] is None)
         if not any(keep):
             break
@@ -318,8 +319,9 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
             fit.narrow(keep)
     for j, i in enumerate(live):
         if results[i] is None:  # still in the stack after max_iters
-            results[i] = (X[j], A[j], SolverReport(converged=False, iterations=cfg.max_iters,
-                                                   residuals=hists[i]))
+            results[i] = (X[j].copy(), A[j].copy(),
+                          SolverReport(converged=False, iterations=cfg.max_iters,
+                                       residuals=hists[i]))
     return results
 
 

@@ -1,12 +1,18 @@
-"""Recovery-theory diagnostics at desk scale.
+"""Recovery-theory diagnostics at desk scale, in the order of the analysis.
 
-Dense orthonormal bases of the relevant matrix subspaces (routing nullspace,
-sampling nullspace, their intersection, anomaly support, low-rank tangent
-space) feed exact incoherence measures (principal-angle cosines), the
-closed-form tau (the largest row norm of the per-column nullspace bases), the
-closed-form feasible-lambda range, and a numerical dual-certificate
-construction that certifies unique optimality of the constrained estimator on
-a given instance.
+1. `measure_incoherences`: dense orthonormal bases of the relevant matrix
+   subspaces (routing nullspace, sampling nullspace, their intersection,
+   anomaly support, low-rank tangent space) give exact incoherence measures
+   (principal-angle cosines) and the closed-form tau (the largest row norm of
+   the per-column nullspace bases).
+2. `check_recovery_conditions`: the Theorem's closed-form conditions, the
+   feasible-lambda range, and (`IncoherenceReport.conditions`) theta with
+   conditions (a) and (b) at one lambda.  This is the only copy of that algebra.
+3. `dual_certificate`: the numerical dual certificate at one lambda, which
+   certifies unique optimality of the constrained estimator on the instance.
+
+The anomaly support is the bundle's read-only boolean F-by-T matrix; a support
+basis orders its cells row-major.
 """
 
 from __future__ import annotations
@@ -128,13 +134,14 @@ def intersect_nullspaces(routing, mask: SamplingMask) -> SubspaceBasis:
     return SubspaceBasis(V, (F, T))
 
 
-def omega_basis(support, shape: tuple[int, int]) -> SubspaceBasis:
-    """Canonical matrices supported on the given (flow, time) index set."""
-    F, T = shape
+def omega_basis(support: np.ndarray) -> SubspaceBasis:
+    """Canonical matrices supported on the True cells of a boolean F-by-T matrix,
+    in row-major order."""
+    F, T = support.shape
     _check_size(F, T)
-    idx = sorted(f * T + t for f, t in support)
-    V = np.zeros((F * T, len(idx)))
-    V[idx, np.arange(len(idx))] = 1.0
+    idx = np.flatnonzero(support)
+    V = np.zeros((F * T, idx.size))
+    V[idx, np.arange(idx.size)] = 1.0
     return SubspaceBasis(V, (F, T))
 
 
@@ -206,7 +213,8 @@ def tau(routing, mask: SamplingMask) -> float:
 
 @dataclass(frozen=True)
 class IncoherenceReport:
-    """Incoherence parameters, the chi bound, and the feasible lambda range."""
+    """Incoherence parameters, the chi bound, the feasible lambda range, and
+    the Theorem's terms f, g, h, q and e."""
 
     alpha: float
     beta: float
@@ -226,6 +234,19 @@ class IncoherenceReport:
     lambda_max: float
     feasible: bool
     reason: str = ""
+
+    def conditions(self, lam: float) -> tuple[float, float, float]:
+        """(theta, lhs of condition (a), lhs of condition (b)) at weight lam.
+
+        Condition (a) holds when its lhs is below 1, condition (b) when its
+        lhs is below lam; theta is infinite when f <= 0.
+        """
+        lk = lam * self.k_max_col
+        a = self.alpha
+        theta = (self.g + lk * self.h) / self.f if self.f > 0 else np.inf
+        cond_a = lk + a + a**2 * (1.0 - a**2) * (a + lk) + self.e * theta
+        cond_b = self.gamma + self.eta * a * lk + self.q * theta
+        return theta, cond_a, cond_b
 
 
 def check_recovery_conditions(
@@ -307,13 +328,6 @@ def check_recovery_conditions(
     )
 
 
-def k_per_column(support, periods: int) -> int:
-    counts = np.zeros(periods, dtype=int)
-    for _, t in support:
-        counts[t] += 1
-    return int(counts.max(initial=0))
-
-
 def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) -> dict:
     """All subspace measures needed by the recovery checker, as a dict.
 
@@ -323,14 +337,11 @@ def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) ->
     """
     F, T = bundle.shape
     _check_size(F, T)
-    omega = omega_basis(bundle.support, (F, T))
+    omega = omega_basis(bundle.support)
     phi = phi_basis(bundle)
     nr = nullspace_R_basis(routing, T)
     npi = nullspace_Pi_basis(mask)
-    hidden = ~mask.mask
-    omega_cap_npi = omega_basis(
-        [(f, t) for f, t in bundle.support if hidden[f, t]], (F, T)
-    )
+    omega_cap_npi = omega_basis(bundle.support & ~mask.mask)
     g_u, g_v, g_uv, eta = gammas(bundle)
     return {
         "alpha": mu(omega, phi),
@@ -343,7 +354,7 @@ def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) ->
         "gamma_u": g_u,
         "gamma_v": g_v,
         "tau": tau(routing, mask),
-        "k_max_col": k_per_column(bundle.support, T),
+        "k_max_col": int(bundle.support.sum(axis=0).max(initial=0)),
         "null_intersection_dim": sum(K.shape[1] for _, _, K in _column_kernels(routing, mask)),
     }
 
@@ -374,7 +385,7 @@ def demonstrate_nonidentifiability(routing, X0: np.ndarray, rank_tol: float = 1e
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Dual-certificate construction results and analytic-bound comparison."""
+    """Dual-certificate construction results."""
 
     gamma_matrix: np.ndarray
     lam: float
@@ -388,12 +399,6 @@ class CertificateReport:
     c3_ok: bool
     c4_ok: bool
     c5_ok: bool
-    theta: float
-    cond_a_lhs: float
-    cond_a_ok: bool
-    cond_b_lhs: float
-    cond_b_ok: bool
-    measures: dict
 
     @property
     def passes(self) -> bool:
@@ -414,16 +419,12 @@ def dual_certificate(routing, mask: SamplingMask, bundle: SubspaceBundle, lam: f
         raise ValueError("lambda must be positive")
     F, T = bundle.shape
     _check_size(F, T)
-    support = sorted(bundle.support)
-    if sign_A0 is None:
-        signs = {idx: 1.0 for idx in support}
-    else:
-        sign_A0 = np.asarray(sign_A0)
-        signs = {idx: float(np.sign(sign_A0[idx])) for idx in support}
-        if any(v == 0.0 for v in signs.values()):
-            raise ValueError("sign matrix is zero on part of the support")
+    support = bundle.support
+    sign_target = np.where(support, 1.0 if sign_A0 is None else np.sign(sign_A0), 0.0)
+    if not sign_target[support].all():
+        raise ValueError("sign matrix is zero on part of the support")
 
-    omega = omega_basis(support, (F, T))
+    omega = omega_basis(support)
     phi = phi_basis(bundle)
     inter = intersect_nullspaces(routing, mask)
     M = np.column_stack([b.vectors for b in (omega, phi, inter) if b.dim > 0])
@@ -436,43 +437,21 @@ def dual_certificate(routing, mask: SamplingMask, bundle: SubspaceBundle, lam: f
             "support, tangent, and nullspace subspaces do not form a direct sum"
         )
 
-    sign_target = np.zeros((F, T))
-    for f, t in support:
-        sign_target[f, t] = signs[(f, t)]
     uv = bundle.U0 @ bundle.V0.T
     rhs = np.concatenate([
-        lam * np.array([sign_target[f, t] for f, t in support]),
+        lam * sign_target[support],
         phi.vectors.T @ _vec(uv) if phi.dim else np.zeros(0),
         np.zeros(inter.dim),
     ])
     coeff = np.linalg.solve(G, rhs)
     Gamma = (M @ coeff).reshape(F, T)
 
-    on_support = np.zeros((F, T), dtype=bool)
-    for f, t in support:
-        on_support[f, t] = True
     c1_res = float(np.linalg.norm(project_phi(bundle, Gamma) - uv))
-    c2_res = float(np.linalg.norm(np.where(on_support, Gamma - lam * sign_target, 0.0)))
+    c2_res = float(np.linalg.norm(np.where(support, Gamma - lam * sign_target, 0.0)))
     c3_res = float(np.linalg.norm(inter.project(Gamma)))
     perp = Gamma - project_phi(bundle, Gamma)
     c4_val = float(np.linalg.svd(perp, compute_uv=False)[0]) if perp.size else 0.0
-    off = np.where(on_support, 0.0, Gamma)
-    c5_val = float(np.abs(off).max(initial=0.0))
-
-    m = measure_incoherences(routing, mask, bundle)
-    a, b_, xi, nu_ = m["alpha"], m["beta"], m["xi"], m["nu"]
-    eta, tau_v, gam, k = m["eta"], m["tau"], m["gamma"], m["k_max_col"]
-    one_m_a2 = 1.0 - a**2
-    f_den = 1.0 - nu_ * b_ - (xi + a * nu_) * one_m_a2 * (xi + a * b_)
-    if f_den > 0:
-        theta = (xi + lam * k * nu_ + a * (xi + a * nu_) * one_m_a2 * (a + lam * k)) / f_den
-    else:
-        theta = np.inf
-    cond_a_lhs = (
-        lam * k + a + a * one_m_a2 * (a * (a + lam * k) + (a * b_ + xi) * theta)
-        + (1.0 + nu_) * theta
-    )
-    cond_b_lhs = gam + eta * a * lam * k + (tau_v + eta * a + eta * xi) * theta
+    c5_val = float(np.abs(np.where(support, 0.0, Gamma)).max(initial=0.0))
 
     tol = 1e-8
     return CertificateReport(
@@ -488,10 +467,4 @@ def dual_certificate(routing, mask: SamplingMask, bundle: SubspaceBundle, lam: f
         c3_ok=c3_res < tol,
         c4_ok=c4_val < 1.0,
         c5_ok=c5_val < lam,
-        theta=float(theta),
-        cond_a_lhs=float(cond_a_lhs),
-        cond_a_ok=bool(cond_a_lhs < 1.0),
-        cond_b_lhs=float(cond_b_lhs),
-        cond_b_ok=bool(cond_b_lhs < lam),
-        measures=m,
     )

@@ -218,13 +218,13 @@ class Observations:
 class SubspaceBundle:
     """Column/row spaces of the true nominal traffic plus the anomaly support.
 
-    U0 (F-by-r) and V0 (T-by-r) are orthonormal; `support` collects the
-    (flow, time) index pairs where the true anomaly matrix is nonzero.
+    U0 (F-by-r) and V0 (T-by-r) are orthonormal; `support` is a boolean
+    F-by-T matrix, True where the true anomaly matrix is nonzero.
     """
 
     U0: np.ndarray
     V0: np.ndarray
-    support: frozenset
+    support: np.ndarray
 
     def __post_init__(self):
         U0 = _frozen_array(self.U0)
@@ -236,11 +236,9 @@ class SubspaceBundle:
                 gram = M.T @ M
                 if np.abs(gram - np.eye(M.shape[1])).max() > 1e-10:
                     raise ValueError(f"{name} columns are not orthonormal")
-        F, T = U0.shape[0], V0.shape[0]
-        support = frozenset((int(f), int(t)) for f, t in self.support)
-        for f, t in support:
-            if not (0 <= f < F and 0 <= t < T):
-                raise ValueError(f"support index ({f},{t}) outside the flow/time grid")
+        support = _frozen_array(self.support, dtype=bool)
+        if support.shape != (U0.shape[0], V0.shape[0]):
+            raise ValueError("support must be a boolean matrix on the flow/time grid")
         object.__setattr__(self, "U0", U0)
         object.__setattr__(self, "V0", V0)
         object.__setattr__(self, "support", support)
@@ -262,8 +260,7 @@ def subspace_bundle(X0: np.ndarray, A0: np.ndarray, rank_tol: float = 1e-9) -> S
         raise ValueError("X0 and A0 dimensions differ")
     U, s, Vt = np.linalg.svd(X0, full_matrices=False)
     r = int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    support = frozenset(zip(*np.nonzero(A0)))
-    return SubspaceBundle(U[:, :r], Vt[:r, :].T, support)
+    return SubspaceBundle(U[:, :r], Vt[:r, :].T, A0 != 0)
 
 
 def routing_entries(routing) -> np.ndarray:

@@ -385,11 +385,11 @@ def _admm_config(cfg: ExperimentConfig) -> AdmmConfig:
     )
 
 
-def _mm_config(cfg: ExperimentConfig, lambda_star=None, lambda_1=None) -> MmConfig:
+def _mm_config(cfg: ExperimentConfig) -> MmConfig:
     return MmConfig(
         rho=cfg.get("solver.rho"),
-        lambda_star=cfg.get("solver.lambda_star") if lambda_star is None else lambda_star,
-        lambda_1=cfg.get("solver.lambda_1") if lambda_1 is None else lambda_1,
+        lambda_star=cfg.get("solver.lambda_star"),
+        lambda_1=cfg.get("solver.lambda_1"),
         max_iters=cfg.get("solver.mm_max_iters"),
         tol=cfg.get("solver.tol"),
         step_safety=cfg.get("solver.step_safety"),
@@ -478,12 +478,7 @@ def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, Coun
     counts of lambda solves that diverged and converged and of their summed
     iterations.  `cfg` carries the cell's synth.rank and synth.anomaly_prob."""
     reps = cfg.get("phase.seeds")
-    admm_cfg = AdmmConfig(
-        c=cfg.get("solver.c"),
-        max_iters=cfg.get("solver.max_iters"),
-        tol_primal=cfg.get("solver.tol_primal"),
-        tol_dual=cfg.get("solver.tol_dual"),
-    )
+    admm_cfg = _admm_config(cfg)
     total = 0.0
     tallies = Counter()
     for rep in range(reps):
@@ -681,12 +676,9 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     corr = learn_burst_correlations(X_train, bp, T, cfg.get("solver.rho"))
 
     X1, A1, _, rep1 = run_solver("p1", obs, routing, cfg)
-    mm_cfg = _mm_config(
-        cfg,
-        lambda_star=cfg.get("burst.p5_lambda_star"),
-        lambda_1=cfg.get("burst.p5_lambda_1"),
-    )
-    X5, A5, rep5 = mm_solve(obs, routing, corr, mm_cfg, seed=cfg.get("solver.mm_seed"))
+    p5_cfg = cfg.with_values({"solver.lambda_star": cfg.get("burst.p5_lambda_star"),
+                              "solver.lambda_1": cfg.get("burst.p5_lambda_1")})
+    X5, A5, _, rep5 = run_solver("p5", obs, routing, p5_cfg, corr=corr)
 
     e1 = relative_errors(TrafficMatrices(X1, A1), truth)
     e5 = relative_errors(TrafficMatrices(X5, A5), truth)
@@ -717,7 +709,8 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     write_manifest(
         os.path.join(out_dir, "compare.txt"),
         {k: f"{v:.12e}" for k, v in metrics.items()}
-        | {"iters_p1": rep1.iterations, "iters_p5": rep5.iterations},
+        | {"iters_p1": rep1.iterations, "iters_p5": rep5.iterations,
+           "converged_p1": rep1.converged, "converged_p5": rep5.converged},
     )
     write_runrecord(os.path.join(out_dir, "runrecord.txt"), cfg, seed, metrics,
                     wall_time=time.perf_counter() - start)
@@ -736,22 +729,12 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
     out: dict = {"flows": F, "periods": T}
     bundle = subspace_bundle(truth.nominal, truth.anomalies)
     out["rank"] = bundle.rank
-    out["support_size"] = len(bundle.support)
+    out["support_size"] = int(bundle.support.sum())
     guard_tripped = F * T > SIZE_GUARD_CELLS
     if guard_tripped:
         out["omitted"] = "incoherences,tau,lambda_range,certificate (size guard)"
     else:
-        lam = cfg.get("diagnose.lam")
-        lam = lam if lam is not None else default_lambda(F, T)
-        # The certificate computes the incoherence measures; compute them
-        # directly only when it stops before reaching them.
-        try:
-            cert = dual_certificate(routing, obs.mask, bundle, lam,
-                                    sign_A0=truth.anomalies)
-            m = cert.measures
-        except NotLocallyIdentifiableError:
-            cert = None
-            m = measure_incoherences(routing, obs.mask, bundle)
+        m = measure_incoherences(routing, obs.mask, bundle)
         rep = check_recovery_conditions(
             m["alpha"], m["beta"], m["xi"], m["nu"], m["eta"], m["tau"],
             m["gamma"], m["k_max_col"], mu_npi_omega=m["mu_npi_omega"],
@@ -766,17 +749,21 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
         out["feasible"] = rep.feasible
         if rep.reason:
             out["reason"] = rep.reason
+        lam = cfg.get("diagnose.lam")
+        lam = lam if lam is not None else default_lambda(F, T)
         out["certificate_lambda"] = lam
-        if cert is None:
+        try:
+            cert = dual_certificate(routing, obs.mask, bundle, lam, sign_A0=truth.anomalies)
+        except NotLocallyIdentifiableError:
             out["certificate_passes"] = False
             out["certificate_error"] = "not locally identifiable"
         else:
             out["certificate_passes"] = cert.passes
             out["c4_value"] = cert.c4_value
             out["c5_value"] = cert.c5_value
-            out["theta"] = cert.theta
-            out["cond_a_ok"] = cert.cond_a_ok
-            out["cond_b_ok"] = cert.cond_b_ok
+            out["theta"], cond_a, cond_b = rep.conditions(lam)
+            out["cond_a_ok"] = cond_a < 1.0
+            out["cond_b_ok"] = cond_b < lam
     write_manifest(os.path.join(out_dir, "diagnose.txt"), out)
     if guard_tripped:
         raise SizeGuardError(

@@ -278,6 +278,17 @@ class TestAdmmP2Path:
             assert rep.converged == rep1.converged == (rep.iterations < max_iters)
             assert rep.residuals == rep1.residuals
 
+    def test_results_own_their_memory(self):
+        # The lambdas leave the stack at 100 and 163 iterations and at the cap;
+        # a result that is a view would keep the whole stack alive.
+        seed, kw, scales, max_iters, iterations = self.CASES[2]
+        r, _, _, obs = make_scenario(seed, **kw)
+        path = admm_solve_p2_path(obs, r, AdmmConfig(max_iters=max_iters),
+                                  self.lambdas(kw, scales))
+        assert [rep.iterations for _, _, rep in path] == list(iterations)
+        for X, A, _ in path:
+            assert X.base is None and A.base is None
+
     def test_non_finite_lambda_leaves_alone(self, monkeypatch):
         seed, kw, scales, max_iters, _ = self.CASES[2]
         r, _, _, obs = make_scenario(seed, **kw)

@@ -462,6 +462,14 @@ class TestBurstCompare:
             assert (out / name).exists()
         flows = read_matrix(out / "trace_flows.csv")
         assert read_matrix(out / "traces_truth.csv").shape == (flows.size, 24)
+        compare = read_manifest(out / "compare.txt")
+        for kind, cap in (("p1", 2000), ("p5", 1500)):  # the iteration caps
+            converged = compare[f"converged_{kind}"]
+            assert converged in ("True", "False")
+            assert converged == "True" or int(compare[f"iters_{kind}"]) == cap
+
+
+P5_WEIGHTS = {"solver.lambda_star": 0.01, "solver.lambda_1": 0.01}
 
 
 class TestBurstInterpolation:
@@ -503,7 +511,7 @@ class TestBurstInterpolation:
             routing, X_train, truth, bp, obs = build_burst_scenario(cfg, seed)
             corr = learn_burst_correlations(X_train, bp, 48, 5)
             X1, _, _, _ = run_solver("p1", obs, routing, cfg)
-            X5, _, _ = mm_solve(obs, routing, corr, _mm_config(cfg, 0.01, 0.01), seed=0)
+            X5, _, _ = mm_solve(obs, routing, corr, _mm_config(cfg.with_values(P5_WEIGHTS)), seed=0)
             hidden = np.flatnonzero((~obs.mask.mask).all(axis=1))
             for f in hidden:
                 p1_rhos.append(self._pearson(X1[f], truth.nominal[f]))
@@ -537,7 +545,7 @@ class TestBurstInterpolation:
             routing, X_train, truth, bp, obs = build_burst_scenario(cfg, seed)
             corr = learn_burst_correlations(X_train, bp, 48, 5)
             X1, A1, _, _ = run_solver("p1", obs, routing, cfg)
-            X5, A5, _ = mm_solve(obs, routing, corr, _mm_config(cfg, 0.01, 0.01), seed=0)
+            X5, A5, _ = mm_solve(obs, routing, corr, _mm_config(cfg.with_values(P5_WEIGHTS)), seed=0)
             e1 = relative_errors(TrafficMatrices(X1, A1), truth)
             e5 = relative_errors(TrafficMatrices(X5, A5), truth)
             assert e1[0] < 0.1 and e5[0] < 0.1
@@ -580,6 +588,10 @@ class TestDiagnoseCommand:
         assert ("certificate_error" not in report) == identifiable
         assert "alpha" in report
         assert len(calls) == 1
+        # theta and conditions (a) and (b) are written exactly when the
+        # certificate was built
+        for key in ("theta", "cond_a_ok", "cond_b_ok", "c4_value", "c5_value"):
+            assert (key in report) == identifiable
 
     def test_size_guard_exit_code_with_partial_report(self, tmp_path):
         big = write_cfg(

@@ -10,7 +10,6 @@ from trafficmaps.diagnostics import (
     dual_certificate,
     gammas,
     intersect_nullspaces,
-    k_per_column,
     measure_incoherences,
     mu,
     nullspace_Pi_basis,
@@ -38,14 +37,22 @@ def canonical_bundle(F, T, r=1):
     for i in range(r):
         U0[i, i] = 1.0
         V0[i, i] = 1.0
-    return SubspaceBundle(U0, V0, frozenset())
+    return SubspaceBundle(U0, V0, np.zeros((F, T), dtype=bool))
+
+
+def cells(shape, idx=()):
+    """Boolean support matrix of `shape`, True at the (flow, time) pairs of idx."""
+    S = np.zeros(shape, dtype=bool)
+    for f, t in idx:
+        S[f, t] = True
+    return S
 
 
 def random_bundle(F, T, r, support=(), seed=0):
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.standard_normal((F, r)))
     V, _ = np.linalg.qr(rng.standard_normal((T, r)))
-    return SubspaceBundle(U, V, frozenset(support))
+    return SubspaceBundle(U, V, cells((F, T), support))
 
 
 class TestBases:
@@ -99,22 +106,22 @@ class TestBases:
 
 class TestMu:
     def test_orthogonal_subspaces(self):
-        a = omega_basis({(0, 0)}, (3, 3))
-        b = omega_basis({(1, 1), (2, 0)}, (3, 3))
+        a = omega_basis(cells((3, 3), {(0, 0)}))
+        b = omega_basis(cells((3, 3), {(1, 1), (2, 0)}))
         assert mu(a, b) == 0.0
 
     def test_identical_subspaces(self):
-        a = omega_basis({(0, 1), (2, 2)}, (3, 3))
+        a = omega_basis(cells((3, 3), {(0, 1), (2, 2)}))
         assert mu(a, a) == pytest.approx(1.0, abs=1e-9)
 
     def test_spiky_overlap(self):
         b = canonical_bundle(4, 3)
-        om = omega_basis({(0, 0)}, (4, 3))
+        om = omega_basis(cells((4, 3), {(0, 0)}))
         assert mu(om, phi_basis(b)) == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetry(self):
         b = random_bundle(5, 6, 2, seed=4)
-        om = omega_basis({(0, 1), (3, 4), (2, 2)}, (5, 6))
+        om = omega_basis(cells((5, 6), {(0, 1), (3, 4), (2, 2)}))
         assert abs(mu(om, phi_basis(b)) - mu(phi_basis(b), om)) < 1e-6
 
     def test_range_and_dense_agreement(self):
@@ -123,7 +130,7 @@ class TestMu:
         b = random_bundle(F, T, 2, seed=6)
         phi = phi_basis(b)
         support = {(int(f), int(t)) for f, t in zip(rng.integers(0, F, 8), rng.integers(0, T, 8))}
-        om = omega_basis(support, (F, T))
+        om = omega_basis(cells((F, T), support))
         val = mu(om, phi)
         assert 0.0 <= val <= 1.0
         # dense operator oracle: sigma_max of P_omega P_phi
@@ -136,8 +143,8 @@ class TestMu:
         assert val == pytest.approx(dense, abs=1e-6)
 
     def test_zero_subspace(self):
-        empty = omega_basis(set(), (3, 3))
-        other = omega_basis({(0, 0)}, (3, 3))
+        empty = omega_basis(cells((3, 3), set()))
+        other = omega_basis(cells((3, 3), {(0, 0)}))
         assert mu(empty, other) == 0.0
 
     @pytest.mark.parametrize("seed", [3, 4, 5, 7])
@@ -157,7 +164,7 @@ class TestMu:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mu(omega_basis({(0, 0)}, (3, 3)), omega_basis({(0, 0)}, (3, 4)))
+            mu(omega_basis(cells((3, 3), {(0, 0)})), omega_basis(cells((3, 4), {(0, 0)})))
 
 
 class TestGammas:
@@ -171,7 +178,7 @@ class TestGammas:
         U0 = np.ones((F, 1)) / np.sqrt(F)
         V0 = np.zeros((4, 1))
         V0[0] = 1.0
-        b = SubspaceBundle(U0, V0, frozenset())
+        b = SubspaceBundle(U0, V0, np.zeros((F, 4), dtype=bool))
         g_u, _, _, _ = gammas(b)
         assert g_u == pytest.approx(1 / np.sqrt(F))
 
@@ -287,6 +294,47 @@ class TestRecoveryConditions:
         rep = check_recovery_conditions(0.1, 0.1, 0.1, 0.1, 0.2, 0.1, 0.05, 0)
         assert rep.lambda_max == np.inf
 
+    @staticmethod
+    def inline_conditions(lam, a, b_, xi, nu_, eta, tau_v, gam, k):
+        """The certificate's former inline copy of the Theorem algebra."""
+        one_m_a2 = 1.0 - a**2
+        f_den = 1.0 - nu_ * b_ - (xi + a * nu_) * one_m_a2 * (xi + a * b_)
+        if f_den > 0:
+            theta = (xi + lam * k * nu_ + a * (xi + a * nu_) * one_m_a2 * (a + lam * k)) / f_den
+        else:
+            theta = np.inf
+        cond_a_lhs = (
+            lam * k + a + a * one_m_a2 * (a * (a + lam * k) + (a * b_ + xi) * theta)
+            + (1.0 + nu_) * theta
+        )
+        cond_b_lhs = gam + eta * a * lam * k + (tau_v + eta * a + eta * xi) * theta
+        return theta, cond_a_lhs, cond_b_lhs
+
+    def test_conditions_match_inline_oracle(self):
+        rng = np.random.default_rng(11)
+        seen_f_nonpositive = seen_k_zero = 0
+        for i in range(400):
+            alpha, beta, xi, nu, tau_v, gam = rng.random(6)
+            if i % 4 == 0:  # corners: a measure at 0 or 1
+                alpha, beta, xi, nu = rng.choice([0.0, 1.0, alpha], size=4)
+            eta = 2.0 * rng.random()
+            k = int(rng.integers(0, 6)) if i % 3 else 0
+            lam = float(10.0 ** rng.uniform(-3, 1))
+            rep = check_recovery_conditions(alpha, beta, xi, nu, eta, tau_v, gam, k)
+            seen_f_nonpositive += rep.f <= 0
+            seen_k_zero += k == 0
+            with np.errstate(invalid="ignore"):  # 0 * inf where theta is infinite
+                got = rep.conditions(lam)
+                want = self.inline_conditions(lam, alpha, beta, xi, nu, eta, tau_v, gam, k)
+            for g, w, bound in zip(got, want, (np.inf, 1.0, lam)):
+                if np.isnan(w):  # the inline form's 0 * inf; the condition fails either way
+                    assert not g < bound
+                elif np.isinf(w):
+                    assert g == w
+                else:
+                    assert abs(g - w) <= 1e-12 * max(abs(w), 1e-300)
+        assert seen_f_nonpositive >= 10 and seen_k_zero >= 100
+
 
 class TestNonidentifiability:
     def test_construction_claims(self):
@@ -345,10 +393,18 @@ class TestDualCertificate:
     def test_overlapping_subspaces_raise(self):
         F = T = 4
         b = canonical_bundle(F, T)  # column/row space spanned by e1
-        bundle = SubspaceBundle(b.U0, b.V0, frozenset({(0, 0)}))  # omega inside phi
+        bundle = SubspaceBundle(b.U0, b.V0, cells((F, T), {(0, 0)}))  # omega inside phi
         mask = SamplingMask(np.ones((F, T), bool))
         with pytest.raises(NotLocallyIdentifiableError):
             dual_certificate(np.eye(F), mask, bundle, 0.5)
+
+    def test_zero_sign_on_support_raises(self):
+        F = T = 5
+        b = random_bundle(F, T, 1, support={(1, 2), (3, 0)}, seed=9)
+        mask = SamplingMask(np.ones((F, T), bool))
+        signs = cells((F, T), {(1, 2)}).astype(float)  # zero at (3, 0)
+        with pytest.raises(ValueError, match="sign"):
+            dual_certificate(np.eye(F), mask, b, 0.5, sign_A0=signs)
 
     def test_battery_certificate_implies_recovery(self):
         n_pass = 0
@@ -411,4 +467,4 @@ class TestDualCertificate:
                     "k_max_col", "mu_npi_omega", "null_intersection_dim"):
             assert key in m
         assert 0.0 <= m["alpha"] <= 1.0
-        assert m["k_max_col"] == k_per_column(bundle.support, 8)
+        assert m["k_max_col"] == max(np.count_nonzero(A0[:, t]) for t in range(8))

@@ -21,7 +21,7 @@ def random_bundle(F, T, r, seed=0):
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.standard_normal((F, r)))
     V, _ = np.linalg.qr(rng.standard_normal((T, r)))
-    return SubspaceBundle(U, V, frozenset())
+    return SubspaceBundle(U, V, np.zeros((F, T), dtype=bool))
 
 
 class TestApplyRouting:
@@ -188,7 +188,7 @@ class TestTypes:
 
     def test_bundle_requires_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            SubspaceBundle(np.ones((3, 2)), np.eye(3)[:, :2], frozenset())
+            SubspaceBundle(np.ones((3, 2)), np.eye(3)[:, :2], np.zeros((3, 3), dtype=bool))
 
     def test_types_are_frozen(self):
         t = TrafficMatrices(np.ones((2, 2)), np.zeros((2, 2)))
@@ -202,4 +202,19 @@ class TestTypes:
         A0[1, 2] = -1.0
         b = subspace_bundle(X0, A0)
         assert b.rank == 2
-        assert b.support == frozenset({(1, 2)})
+        assert b.support.dtype == bool and np.array_equal(b.support, A0 != 0)
+        with pytest.raises(ValueError):
+            b.support[0, 0] = True
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 5), (30,), (6, 5, 1)])
+    def test_bundle_rejects_support_of_wrong_shape(self, shape):
+        U, V = np.eye(6)[:, :1], np.eye(5)[:, :1]
+        with pytest.raises(ValueError, match="support"):
+            SubspaceBundle(U, V, np.zeros(shape, dtype=bool))
+
+    def test_subspace_bundle_support_matches_nonzero_anomalies(self):
+        rng = np.random.default_rng(9)
+        X0 = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 9))
+        A0 = np.where(rng.random((7, 9)) < 0.3, rng.standard_normal((7, 9)), 0.0)
+        A0[0, 0] = -0.0  # a signed zero is not support
+        assert np.array_equal(subspace_bundle(X0, A0).support, A0 != 0)
