@@ -1,10 +1,11 @@
 """Recovery-theory diagnostics at desk scale, in the order of the analysis.
 
-1. `measure_incoherences`: dense orthonormal bases of the relevant matrix
-   subspaces (routing nullspace, sampling nullspace, their intersection,
-   anomaly support, low-rank tangent space) give exact incoherence measures
-   (principal-angle cosines) and the closed-form tau (the largest row norm of
-   the per-column nullspace bases).
+1. `measure_incoherences`: dense bases of the relevant matrix subspaces
+   (routing nullspace, sampling nullspace, their intersection, anomaly
+   support, low-rank tangent space), each orthonormal by construction and
+   checked so by the tests, give exact incoherence measures (principal-angle
+   cosines) and the closed-form tau (the largest row norm of the per-column
+   nullspace bases).
 2. `check_recovery_conditions`: the Theorem's closed-form conditions, the
    feasible-lambda range, and (`IncoherenceReport.conditions`) theta with
    conditions (a) and (b) at one lambda.  This is the only copy of that algebra.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .model import SamplingMask, SubspaceBundle, project_phi, routing_entries
+from .model import SamplingMask, SubspaceBundle, _frozen_array, project_phi, routing_entries
 
 SIZE_GUARD_CELLS = 20000
 
@@ -52,21 +53,17 @@ def _vec(M: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a subspace of F-by-T matrices, vectorized columns."""
+    """Orthonormal basis of a subspace of F-by-T matrices, vectorized columns.
+    Each builder below is orthonormal by construction; it is not re-checked."""
 
     vectors: np.ndarray
     shape: tuple[int, int]
 
     def __post_init__(self):
-        V = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
+        V = _frozen_array(self.vectors)
         F, T = self.shape
         if V.ndim != 2 or V.shape[0] != F * T:
             raise ValueError("basis rows must match the vectorized ambient space")
-        if V.shape[1]:
-            gram = V.T @ V
-            if np.abs(gram - np.eye(V.shape[1])).max() > 1e-10:
-                raise ValueError("basis columns are not orthonormal")
-        V.setflags(write=False)
         object.__setattr__(self, "vectors", V)
         object.__setattr__(self, "shape", (int(F), int(T)))
 
@@ -81,28 +78,28 @@ class SubspaceBasis:
         return (self.vectors @ coeff).reshape(self.shape)
 
 
+def _coordinate_basis(cells: np.ndarray) -> SubspaceBasis:
+    """Canonical matrices (distinct unit vectors) on the True cells of a boolean
+    F-by-T matrix, in row-major order."""
+    F, T = cells.shape
+    _check_size(F, T)
+    idx = np.flatnonzero(cells)
+    V = np.zeros((F * T, idx.size))
+    V[idx, np.arange(idx.size)] = 1.0
+    return SubspaceBasis(V, (F, T))
+
+
 def nullspace_R_basis(routing, periods: int) -> SubspaceBasis:
-    """Basis of {H : R H = 0}: kernel vectors of R placed in each column slot."""
+    """Basis of {H : R H = 0}: kron(K, I) places each orthonormal kernel vector
+    of R (K = null_space(R)) in each column slot, kernel-major."""
     R = routing_entries(routing)
-    F = R.shape[1]
-    _check_size(F, periods)
-    K = null_space(R)
-    d = K.shape[1]
-    V = np.zeros((F * periods, d * periods))
-    for i in range(d):
-        for t in range(periods):
-            V[t::periods, i * periods + t] = K[:, i]
-    return SubspaceBasis(V, (F, periods))
+    _check_size(R.shape[1], periods)
+    return SubspaceBasis(np.kron(null_space(R), np.eye(periods)), (R.shape[1], periods))
 
 
 def nullspace_Pi_basis(mask: SamplingMask) -> SubspaceBasis:
     """Canonical matrices supported on the unobserved entries."""
-    F, T = mask.shape
-    _check_size(F, T)
-    hidden = np.flatnonzero(~mask.mask.ravel())
-    V = np.zeros((F * T, hidden.size))
-    V[hidden, np.arange(hidden.size)] = 1.0
-    return SubspaceBasis(V, (F, T))
+    return _coordinate_basis(~mask.mask)
 
 
 def _column_kernels(routing, mask: SamplingMask):
@@ -121,56 +118,37 @@ def _column_kernels(routing, mask: SamplingMask):
 
 
 def intersect_nullspaces(routing, mask: SamplingMask) -> SubspaceBasis:
-    """Basis of N_R intersected with N_Pi, assembled column by column."""
+    """Basis of N_R intersected with N_Pi: each orthonormal K_t placed on the
+    hidden rows of column t; different columns have disjoint supports."""
     F, T = mask.shape
     _check_size(F, T)
-    cols = []
-    for t, hidden, K in _column_kernels(routing, mask):
-        for i in range(K.shape[1]):
-            v = np.zeros(F * T)
-            v[hidden * T + t] = K[:, i]
-            cols.append(v)
-    V = np.column_stack(cols) if cols else np.zeros((F * T, 0))
+    kernels = list(_column_kernels(routing, mask))
+    V = np.zeros((F * T, sum(K.shape[1] for _, _, K in kernels)))
+    k = 0
+    for t, hidden, K in kernels:
+        V[hidden * T + t, k:k + K.shape[1]] = K
+        k += K.shape[1]
     return SubspaceBasis(V, (F, T))
 
 
 def omega_basis(support: np.ndarray) -> SubspaceBasis:
     """Canonical matrices supported on the True cells of a boolean F-by-T matrix,
     in row-major order."""
-    F, T = support.shape
-    _check_size(F, T)
-    idx = np.flatnonzero(support)
-    V = np.zeros((F * T, idx.size))
-    V[idx, np.arange(idx.size)] = 1.0
-    return SubspaceBasis(V, (F, T))
+    return _coordinate_basis(support)
 
 
 def phi_basis(bundle: SubspaceBundle) -> SubspaceBasis:
     """Orthonormal basis of the tangent space {U0 W1' + W2 V0'}.
 
-    Built exactly as {U0[:, i] e_t'} plus {(I - P_U) columns times V0[:, i]'},
-    giving r(F + T - r) orthonormal vectors without any orthogonalization pass.
+    kron(U0, I) holds {U0[:, i] e_t'} and kron(G, V0) holds {G[:, j] V0[:, i]'},
+    with G the orthonormal complement of U0, so U0'G = 0 keeps the blocks
+    orthogonal: r(F + T - r) orthonormal vectors, none for rank 0.
     """
     F, T = bundle.shape
     _check_size(F, T)
-    r = bundle.rank
-    if r == 0:
-        return SubspaceBasis(np.zeros((F * T, 0)), (F, T))
     U0, V0 = bundle.U0, bundle.V0
-    G = null_space(U0.T)  # orthonormal basis of the orthogonal complement
-    cols = np.empty((F * T, r * T + G.shape[1] * r))
-    k = 0
-    for i in range(r):
-        for t in range(T):
-            M = np.zeros((F, T))
-            M[:, t] = U0[:, i]
-            cols[:, k] = M.ravel()
-            k += 1
-    for j in range(G.shape[1]):
-        for i in range(r):
-            cols[:, k] = np.outer(G[:, j], V0[:, i]).ravel()
-            k += 1
-    return SubspaceBasis(cols, (F, T))
+    G = null_space(U0.T)
+    return SubspaceBasis(np.hstack([np.kron(U0, np.eye(T)), np.kron(G, V0)]), (F, T))
 
 
 def mu(sub_a: SubspaceBasis, sub_b: SubspaceBasis) -> float:

@@ -235,15 +235,18 @@ def connected_topology(nodes: int, radius: float, seed: int):
     )
 
 
-def _rejected_as_config_error(build):
-    """The recipe boundary: a value the generators reject is a config error."""
-    @functools.wraps(build)
-    def checked(cfg: ExperimentConfig, seed: int):
-        try:
-            return build(cfg, seed)
-        except ValueError as exc:
-            raise ConfigError(f"invalid scenario parameters: {exc}") from exc
-    return checked
+def _rejected_as_config_error(what: str):
+    """A config boundary: a value the generators or a solver's config reject
+    is a config error, reported as `invalid <what>: ...`."""
+    def decorate(build):
+        @functools.wraps(build)
+        def checked(*args):
+            try:
+                return build(*args)
+            except ValueError as exc:
+                raise ConfigError(f"invalid {what}: {exc}") from exc
+        return checked
+    return decorate
 
 
 def build_network(cfg: ExperimentConfig, seed: int) -> RoutingMatrix:
@@ -260,7 +263,7 @@ def _observe(cfg: ExperimentConfig, routing, truth: TrafficMatrices, mask, seed:
                    seed=seed + 6)
 
 
-@_rejected_as_config_error
+@_rejected_as_config_error("scenario parameters")
 def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
     """The scenario recipe: every command turns a config and a seed into a
     scenario here, varying only `synth.*` keys on a copy of its config."""
@@ -371,6 +374,7 @@ def cmd_synth(cfg: ExperimentConfig, out_dir: str) -> dict:
     return write_scenario(out_dir, scenario, cfg, seed)
 
 
+@_rejected_as_config_error("solver settings")
 def _admm_config(cfg: ExperimentConfig) -> AdmmConfig:
     return AdmmConfig(
         lam=cfg.get("solver.lam"),
@@ -385,6 +389,7 @@ def _admm_config(cfg: ExperimentConfig) -> AdmmConfig:
     )
 
 
+@_rejected_as_config_error("solver settings")
 def _mm_config(cfg: ExperimentConfig) -> MmConfig:
     return MmConfig(
         rho=cfg.get("solver.rho"),
@@ -614,7 +619,7 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
     return rows
 
 
-@_rejected_as_config_error
+@_rejected_as_config_error("scenario parameters")
 def build_burst_scenario(cfg: ExperimentConfig, seed: int):
     """Training history plus a bursty test day under the structured mask, on
     the recipe's network."""
@@ -718,6 +723,9 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
+    lam = cfg.get("diagnose.lam")
+    if lam is not None and not lam > 0:
+        raise ConfigError(f"diagnose.lam must be positive, got {lam}")
     scenario_dir = cfg.get("io.scenario")
     if not scenario_dir:
         raise ConfigError("io.scenario must point at a scenario directory")
@@ -749,7 +757,6 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
         out["feasible"] = rep.feasible
         if rep.reason:
             out["reason"] = rep.reason
-        lam = cfg.get("diagnose.lam")
         lam = lam if lam is not None else default_lambda(F, T)
         out["certificate_lambda"] = lam
         try:

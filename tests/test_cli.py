@@ -677,3 +677,27 @@ class TestCliPlumbing:
 
     def test_missing_scenario_config_is_config_error(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("solve", "solver.lam=-1", "invalid solver settings"),
+        ("solve", "solver.kind=p5\nsolver.rho=0", "invalid solver settings"),
+        ("phase-grid", "solver.c=0", "invalid solver settings"),
+        ("burst-compare", "solver.lam=-1", "invalid solver settings"),
+        ("burst-compare", "solver.step_safety=0.5", "invalid solver settings"),
+        ("diagnose", "diagnose.lam=-1", "diagnose.lam must be positive"),
+    ])
+    def test_invalid_solver_setting_exits_2(self, tmp_path, capsys, command, setting, message):
+        scn = tmp_path / "scn"
+        assert main(["synth", "--config", write_cfg(tmp_path / "s.txt", SMALL_SYNTH),
+                     "--out", str(scn)]) == 0
+        cfg = write_cfg(tmp_path / "cfg.txt", (
+            f"io.scenario={scn}\nsynth.flows=10\nsynth.periods=10\nphase.ranks=1\n"
+            "phase.sparsity_counts=2\nphase.lam_grid=1\nburst.days=2\n"
+            "solver.max_iters=20\nsolver.mm_max_iters=20\n" + setting + "\n"))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        if command == "diagnose":  # rejected before any work
+            assert not out.exists()

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
-from trafficmaps.admm import AdmmConfig, admm_solve_p2
+from trafficmaps.admm import AdmmConfig, admm_solve_p2, default_lambda
 from trafficmaps.diagnostics import (
     NotLocallyIdentifiableError,
     SizeGuardError,
@@ -28,7 +31,7 @@ from trafficmaps.model import (
     subspace_bundle,
 )
 from trafficmaps.pipelines import ExperimentConfig, build_scenario
-from trafficmaps.synth import gen_lowrank_traffic, gen_mask, observe
+from trafficmaps.synth import gen_lowrank_traffic, gen_mask, gen_structured_mask, observe
 
 
 def canonical_bundle(F, T, r=1):
@@ -102,6 +105,110 @@ class TestBases:
         R = np.ones((1, 200))
         with pytest.raises(SizeGuardError):
             nullspace_R_basis(R, 150)
+
+
+def reference_bases(R, mask, bundle):
+    """The five bases built one vector at a time, as a dense reference."""
+    F, T = bundle.shape
+
+    def stack(cols):
+        return np.column_stack(cols) if cols else np.zeros((F * T, 0))
+
+    def coordinate(cells):
+        return stack([np.eye(F * T)[:, k] for k in np.flatnonzero(cells)])
+
+    K = null_space(R)
+    nr = np.zeros((F * T, K.shape[1] * T))
+    for i in range(K.shape[1]):
+        for t in range(T):
+            nr[t::T, i * T + t] = K[:, i]
+    inter = []
+    for t in range(T):
+        hidden = np.flatnonzero(~mask.mask[:, t])
+        if hidden.size:
+            Kt = null_space(R[:, hidden])
+            for i in range(Kt.shape[1]):
+                v = np.zeros(F * T)
+                v[hidden * T + t] = Kt[:, i]
+                inter.append(v)
+    phi = []
+    if bundle.rank:
+        U0, V0 = bundle.U0, bundle.V0
+        for i in range(bundle.rank):
+            for t in range(T):
+                M = np.zeros((F, T))
+                M[:, t] = U0[:, i]
+                phi.append(M.ravel())
+        G = null_space(U0.T)
+        for j in range(G.shape[1]):
+            for i in range(bundle.rank):
+                phi.append(np.outer(G[:, j], V0[:, i]).ravel())
+    return {
+        "nullspace_R_basis": nr,
+        "nullspace_Pi_basis": coordinate(~mask.mask),
+        "intersect_nullspaces": stack(inter),
+        "omega_basis": coordinate(bundle.support),
+        "phi_basis": stack(phi),
+    }
+
+
+def basis_case(name, F=6, T=5):
+    """(R, mask, bundle) for one named case of the construction tests."""
+    rng = np.random.default_rng(11)
+    R = rng.random((3, F))
+    mask = gen_mask(F, T, 0.5, 12)
+    support = {(0, 1), (2, 3), (5, 4), (4, 0)}
+    rank = {"rank-0": 0, "rank-1": 1}.get(name, 2)
+    if name == "full-mask":
+        mask = SamplingMask(np.ones((F, T), bool))
+    elif name == "injective-routing":
+        R = rng.random((F + 2, F))
+    elif name == "structured-mask":
+        mask = gen_structured_mask(F, T, 0.35, 0.3, 13)
+    if rank == 0:  # and no anomalies
+        bundle = SubspaceBundle(np.zeros((F, 0)), np.zeros((T, 0)), cells((F, T)))
+    else:
+        bundle = random_bundle(F, T, rank, support, seed=14)
+    return R, mask, bundle
+
+
+BASIS_CASES = ["rank-0", "rank-1", "rank-2", "full-mask", "injective-routing",
+               "structured-mask"]
+
+
+def built_bases(R, mask, bundle):
+    return {
+        "nullspace_R_basis": nullspace_R_basis(R, bundle.shape[1]),
+        "nullspace_Pi_basis": nullspace_Pi_basis(mask),
+        "intersect_nullspaces": intersect_nullspaces(R, mask),
+        "omega_basis": omega_basis(bundle.support),
+        "phi_basis": phi_basis(bundle),
+    }
+
+
+class TestBasesByConstruction:
+    """Each builder is orthonormal by construction; nothing re-checks it at
+    run time, so these cases do."""
+
+    @pytest.mark.parametrize("name", BASIS_CASES)
+    def test_orthonormal_and_equal_to_reference(self, name):
+        R, mask, bundle = basis_case(name)
+        reference = reference_bases(R, mask, bundle)
+        for builder, basis in built_bases(R, mask, bundle).items():
+            V = basis.vectors
+            assert np.abs(V.T @ V - np.eye(basis.dim)).max(initial=0.0) <= 1e-12, builder
+            assert np.array_equal(V, reference[builder]), builder
+
+    def test_cases_cover_empty_and_nonempty_bases(self):
+        dims = {name: {b: v.dim for b, v in built_bases(*basis_case(name)).items()}
+                for name in BASIS_CASES}
+        for builder in dims["rank-2"]:
+            seen = {dims[name][builder] > 0 for name in BASIS_CASES}
+            assert seen == {True, False}, builder
+        assert dims["rank-0"]["phi_basis"] == dims["rank-0"]["omega_basis"] == 0
+        assert dims["full-mask"]["nullspace_Pi_basis"] == 0
+        assert dims["injective-routing"]["nullspace_R_basis"] == 0
+        assert dims["structured-mask"]["intersect_nullspaces"] > 0
 
 
 class TestMu:
@@ -468,3 +575,23 @@ class TestDualCertificate:
             assert key in m
         assert 0.0 <= m["alpha"] <= 1.0
         assert m["k_max_col"] == max(np.count_nonzero(A0[:, t]) for t in range(8))
+
+
+def test_diagnostics_peak_memory_stays_near_one_sampling_basis():
+    # The largest basis is the sampling nullspace's; measuring the instance
+    # and building its certificate should not hold much beyond it (a runtime
+    # V'V check on that basis alone took the peak to 3.4 times it).
+    cfg = ExperimentConfig({"synth.nodes": 10, "synth.flows": 40, "synth.periods": 40,
+                            "synth.paths": 2})
+    scenario = build_scenario(cfg, 3)
+    routing, mask, truth = scenario.routing, scenario.obs.mask, scenario.truth
+    bundle = subspace_bundle(truth.nominal, truth.anomalies)
+    npi_bytes = nullspace_Pi_basis(mask).vectors.nbytes
+    tracemalloc.start()
+    try:
+        measure_incoherences(routing, mask, bundle)
+        dual_certificate(routing, mask, bundle, default_lambda(40, 40), sign_A0=truth.anomalies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * npi_bytes

@@ -35,24 +35,26 @@ def test_traced_name_exists(home, path):
         assert hasattr(owner, path)
 
 
-def test_diagnose_calls_every_diagnostics_target(tmp_path, monkeypatch):
-    from trafficmaps import diagnostics
-    from trafficmaps.cli import main
-    from trafficmaps.fileio import read_manifest
+def diagnostics_paths(spans, span_name=None):
+    return [path for _, name, home, path, _ in spans.TARGETS
+            if home == "trafficmaps.diagnostics" and span_name in (None, name)]
 
-    spans = load_spans()
+
+def count_calls(spans, paths, monkeypatch, record):
+    """Route each diagnostics target through `record(path, result)`, patched
+    where the traced run patches it: on the class, or in every module that
+    imported the name."""
+    from trafficmaps import diagnostics
+
     modules = [importlib.import_module(m) for m in spans.MODULES]
-    paths = [path for _, _, home, path, _ in spans.TARGETS if home == "trafficmaps.diagnostics"]
-    calls = Counter()
 
     def counted(path, fn):
         def wrapper(*args, **kwargs):
-            calls[path] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            record(path, result)
+            return result
         return wrapper
 
-    # patched where the traced run patches it: on the class, or in every
-    # module that imported the name
     for path in paths:
         if "." in path:
             cls_name, meth = path.split(".")
@@ -63,6 +65,13 @@ def test_diagnose_calls_every_diagnostics_target(tmp_path, monkeypatch):
         for module in modules:
             if module.__dict__.get(path) is original:
                 monkeypatch.setattr(module, path, counted(path, original))
+
+
+def diagnose_identifiable(tmp_path):
+    """Run `diagnose` on a 20x20 scenario whose certificate is built over a
+    nonempty nullspace intersection."""
+    from trafficmaps.cli import main
+    from trafficmaps.fileio import read_manifest
 
     def run(sub, config, out):
         cfg = tmp_path / f"{sub}.txt"
@@ -76,4 +85,34 @@ def test_diagnose_calls_every_diagnostics_target(tmp_path, monkeypatch):
     run("diagnose", {"io.scenario": scenario}, tmp_path / "diag")
     report = read_manifest(tmp_path / "diag" / "diagnose.txt")
     assert "certificate_error" not in report and int(report["null_intersection_dim"]) > 0
+
+
+def test_diagnose_calls_every_diagnostics_target(tmp_path, monkeypatch):
+    spans = load_spans()
+    paths = diagnostics_paths(spans)
+    calls = Counter()
+    count_calls(spans, paths, monkeypatch, lambda path, result: calls.update([path]))
+    diagnose_identifiable(tmp_path)
     assert [path for path in paths if calls[path] == 0] == []
+
+
+def test_traced_diagnose_opens_one_unnested_span_per_basis(tmp_path, monkeypatch):
+    # A builder calling another public builder would nest one basis span in
+    # another and count that basis twice in diagnostics.basis_bytes.
+    spans = load_spans()
+    paths = diagnostics_paths(spans, "basis")
+    built = []  # (builder, bytes) in the order the calls return
+    count_calls(spans, paths, monkeypatch,
+                lambda path, result: built.append((path, result.vectors.nbytes)))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0, "diagnose")
+        diagnose_identifiable(tmp_path)
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+    basis = [s for s in tracer.spans if s.name == "basis"]  # in the order they close
+    assert {path for path, _ in built} == set(paths)
+    assert not [s for s in basis if any(a.name == "basis" for a in tracer.ancestors(s))]
+    assert [s.extras["bytes"] for s in basis] == [nbytes for _, nbytes in built]
