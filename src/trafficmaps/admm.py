@@ -76,15 +76,50 @@ def soft_threshold(M, tau):
     return np.sign(M) * np.maximum(np.abs(M) - tau, 0.0)
 
 
+# `svt` keeps the Gram form while n*eps*||M||_F/tau, about its relative error,
+# stays below this.
+_GRAM_GUARD = 1e-10
+
+
 def svt(M: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding, the nuclear-norm prox, of a matrix or of
-    each matrix of a stack: one SVD call, then a per-matrix reconstruction."""
+    each matrix of a stack.
+
+    With M'M = V diag(s^2) V' on the smaller side, SVT(M) = M V diag(1 -
+    tau/max(s, tau)) V': one batched `eigh` of the Gram matrices, no U and no
+    division by zero.  Squaring M moves the result by about n*eps*||M||_F^2/tau
+    (n the larger side), so a matrix with n*eps*||M||_F >= _GRAM_GUARD*tau,
+    among them every one at tau = 0 or with an overflowing norm, takes the SVD
+    instead; the guard runs before M'M is formed, which could overflow.  Each
+    matrix gets the same bytes in any stack.
+    """
     if tau < 0:
         raise ValueError("threshold must be nonnegative")
     M = np.asarray(M, dtype=np.float64)
     if not np.isfinite(M).all():
         raise ValueError("cannot take the SVD of a non-finite matrix")
     stack = M.reshape((-1,) + M.shape[-2:])
+    wide = stack.shape[1] < stack.shape[2]
+    if wide:
+        stack = stack.swapaxes(1, 2)
+    out = np.empty_like(stack)
+    scale = stack.shape[1] * np.finfo(np.float64).eps
+    with np.errstate(over="ignore"):  # an overflowing norm takes the SVD
+        norms = _norms(stack)
+    gram = np.array([scale * norm < _GRAM_GUARD * tau for norm in norms], dtype=bool)
+    if gram.any():
+        S = stack[gram]
+        w, V = np.linalg.eigh(S.swapaxes(1, 2) @ S)
+        shrink = 1.0 - tau / np.maximum(np.sqrt(np.maximum(w, 0.0)), tau)
+        out[gram] = (S @ (V * shrink[:, None, :])) @ V.swapaxes(1, 2)
+    if not gram.all():
+        out[~gram] = _svt_by_svd(stack[~gram], tau)
+    return (out.swapaxes(1, 2) if wide else out).reshape(M.shape)
+
+
+def _svt_by_svd(stack: np.ndarray, tau: float) -> np.ndarray:
+    """SVT of each matrix of a stack from one SVD call and a per-matrix
+    reconstruction; `svt`'s fallback."""
     U, s, Vt = np.linalg.svd(stack, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     out = np.empty_like(stack)
@@ -92,7 +127,7 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
     for i in range(len(stack)):
         r = np.count_nonzero(s[i])
         out[i] = (U[i, :, :r] * s[i, :r]) @ Vt[i, :r] if r else 0.0
-    return out.reshape(M.shape)
+    return out
 
 
 class ColumnSolves:

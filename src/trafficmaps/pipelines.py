@@ -675,15 +675,16 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     if cfg.get("burst.n_anomalous") > cfg.get("synth.flows"):
         raise ConfigError(f"burst.n_anomalous must be at most synth.flows = "
                           f"{cfg.get('synth.flows')}, got {cfg.get('burst.n_anomalous')}")
+    p5_cfg = cfg.with_values({"solver.lambda_star": cfg.get("burst.p5_lambda_star"),
+                              "solver.lambda_1": cfg.get("burst.p5_lambda_1")})
+    p1_solver, p5_solver = _admm_config(cfg), _mm_config(p5_cfg)  # rejected before any work
     start = time.perf_counter()
     routing, X_train, truth, bp, obs = build_burst_scenario(cfg, seed)
     F, T = truth.shape
-    corr = learn_burst_correlations(X_train, bp, T, cfg.get("solver.rho"))
+    corr = learn_burst_correlations(X_train, bp, T, p5_solver.rho)
 
-    X1, A1, _, rep1 = run_solver("p1", obs, routing, cfg)
-    p5_cfg = cfg.with_values({"solver.lambda_star": cfg.get("burst.p5_lambda_star"),
-                              "solver.lambda_1": cfg.get("burst.p5_lambda_1")})
-    X5, A5, _, rep5 = run_solver("p5", obs, routing, p5_cfg, corr=corr)
+    X1, A1, rep1 = admm_solve_p1(obs, routing, p1_solver)
+    X5, A5, rep5 = mm_solve(obs, routing, corr, p5_solver, seed=cfg.get("solver.mm_seed"))
 
     e1 = relative_errors(TrafficMatrices(X1, A1), truth)
     e5 = relative_errors(TrafficMatrices(X5, A5), truth)

@@ -35,6 +35,41 @@ def make_scenario(seed, F=30, T=30, rho=1, p=0.02, K=3, pi=0.4, N=10, d_c=0.6):
     return s.routing, s.truth.nominal, s.truth.anomalies, s.obs
 
 
+EPS = np.finfo(np.float64).eps
+SVD_FORM = admm._svt_by_svd
+
+
+def by_svd(M, tau):
+    """The SVD form of SVT, `svt`'s fallback and the oracle of its Gram form."""
+    M = np.asarray(M, dtype=np.float64)
+    return SVD_FORM(M.reshape((-1,) + M.shape[-2:]), tau).reshape(M.shape)
+
+
+def count_fallbacks(monkeypatch):
+    """Route `svt`'s SVD fallback through a recorder; returns the list of the
+    stack sizes it is called with."""
+    calls = []
+
+    def recorded(stack, tau):
+        calls.append(len(stack))
+        return SVD_FORM(stack, tau)
+
+    monkeypatch.setattr(admm, "_svt_by_svd", recorded)
+    return calls
+
+
+def guard_scale(m, n):
+    """||M||_F / tau at which an m x n matrix reaches the Gram guard."""
+    return admm._GRAM_GUARD / (max(m, n) * EPS)
+
+
+def with_spectrum(rng, m, n, s):
+    """An m x n matrix with singular values s and random singular vectors."""
+    U = np.linalg.qr(rng.standard_normal((m, len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+    return (U * s) @ V.T
+
+
 class TestSoftThreshold:
     def test_scalar_examples(self):
         assert soft_threshold(2.0, 1.5) == pytest.approx(0.5)
@@ -88,14 +123,78 @@ class TestSvt:
         out = svt(np.diag([3.0, 1.0]), 2.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
-    def test_stack_matches_each_matrix(self):
-        rng = np.random.default_rng(8)
-        stack = rng.standard_normal((3, 6, 5))
-        stack[1] *= 0.01  # every singular value of this one falls below tau
-        out = svt(stack, 0.5)
-        assert not out[1].any()
-        for M, X in zip(stack, out):
-            assert np.array_equal(X, svt(M, 0.5))
+    def test_stack_matches_each_matrix(self, monkeypatch):
+        # Gram-form and fallback matrices mixed in one stack: each gets the
+        # bytes it gets alone, tall or wide.
+        fallbacks = count_fallbacks(monkeypatch)
+        for shape in [(6, 5), (5, 6)]:
+            rng = np.random.default_rng(8)
+            stack = rng.standard_normal((5,) + shape)
+            stack[1] *= 0.01  # every singular value of this one falls below tau
+            stack[2] *= 1e200  # its norm overflows
+            stack[3] *= 1.01 * guard_scale(*shape) * 0.5 / np.linalg.norm(stack[3])  # past the guard
+            fallbacks.clear()
+            out = svt(stack, 0.5)
+            assert fallbacks == [2]
+            assert not out[1].any()
+            for M, X in zip(stack, out):
+                assert np.array_equal(X, svt(M, 0.5))
+            assert fallbacks == [2, 1, 1]
+
+    SPECTRA = ("gaussian", "rank_deficient", "clustered", "wide_to_guard")
+    SHAPES = [(30, 12), (12, 30), (25, 25), (3, 2), (1, 5), (3, 20, 20), (2, 8, 16)]
+
+    @staticmethod
+    def spectrum(rng, kind, m, n, tau):
+        k = min(m, n)
+        if kind == "gaussian":
+            return np.linalg.svd(rng.standard_normal((m, n)), compute_uv=False) * tau
+        if kind == "rank_deficient":
+            s = tau * rng.uniform(0.0, 3.0, k)
+            s[rng.integers(k):] = 0.0
+            return s
+        if kind == "clustered":
+            return tau * (1.0 + 1e-6 * rng.uniform(-1.0, 1.0, k))
+        # eleven decades, the largest singular value just under the guard
+        s = tau * 10.0 ** rng.uniform(-3.0, 8.0, k)
+        return s * rng.uniform(0.5, 0.99) * guard_scale(m, n) * tau / np.linalg.norm(s)
+
+    @pytest.mark.parametrize("kind", SPECTRA)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gram_form_matches_svd(self, monkeypatch, kind, shape):
+        # Within 1e-12 * ||M||_F, or within the documented squaring error
+        # n*eps*||M||_F^2/tau where that is larger (near the guard).
+        rng = np.random.default_rng(hash((kind, shape)) % 2**32)
+        *batch, m, n = shape
+        fallbacks = count_fallbacks(monkeypatch)
+        for _ in range(20):
+            tau = 10.0 ** rng.uniform(-3.0, 3.0)
+            stack = np.array([with_spectrum(rng, m, n, self.spectrum(rng, kind, m, n, tau))
+                              for _ in range(batch[0] if batch else 1)]).reshape(shape)
+            out = svt(stack, tau)
+            for M, X in zip(stack.reshape(-1, m, n), out.reshape(-1, m, n)):
+                norm = np.linalg.norm(M)
+                bound = max(1e-12, max(m, n) * EPS * norm / tau) * norm
+                assert np.linalg.norm(X - by_svd(M, tau)) <= bound
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("shape", [(7, 5), (6, 6)])
+    def test_fallback_gives_svd_bytes(self, monkeypatch, shape):
+        rng = np.random.default_rng(11)
+        M = rng.standard_normal(shape)
+        past_guard = M * (1.01 * guard_scale(*shape) * 0.7 / np.linalg.norm(M))
+        cases = [(M, 0.0), (M * 1e200, 1e199), (past_guard, 0.7)]
+        fallbacks = count_fallbacks(monkeypatch)
+        for A, tau in cases:
+            X = svt(A, tau)
+            assert np.isfinite(X).all() and np.array_equal(X, by_svd(A, tau))
+        assert fallbacks == [1, 1, 1]
+
+    def test_zero_matrix_divides_by_nothing(self):
+        with np.errstate(divide="raise", invalid="raise"):
+            for tau in (0.0, 0.3):
+                assert np.array_equal(svt(np.zeros((4, 3)), tau), np.zeros((4, 3)))
+                assert np.array_equal(svt(np.zeros((2, 3, 4)), tau), np.zeros((2, 3, 4)))
 
     def test_non_finite_rejected(self):
         M = np.ones((2, 2))
@@ -318,6 +417,32 @@ class TestAdmmP2Path:
         r, _, _, obs = make_scenario(1, F=12, T=10, N=8, d_c=0.7)
         with pytest.raises(ValueError):
             admm_solve_p2_path(obs, r, AdmmConfig(), lams)
+
+
+class TestSolversTakeGramForm:
+    # A guard that sent every matrix to the SVD would pass every other test.
+    @pytest.mark.parametrize("solver", ["p1", "p2_path"])
+    def test_every_svt_call_takes_the_gram_form(self, monkeypatch, solver):
+        r, _, _, obs = make_scenario(3, F=20, T=20, N=9, d_c=0.65)
+        real = admm.svt
+        fallbacks = count_fallbacks(monkeypatch)
+        kept = []
+
+        def checked(M, tau):
+            X = real(M, tau)
+            for Mi, Xi in zip(M, X):
+                assert np.linalg.norm(Xi - by_svd(Mi, tau)) <= 1e-12 * np.linalg.norm(Mi)
+                kept.append(np.linalg.matrix_rank(Xi))
+            return X
+
+        monkeypatch.setattr(admm, "svt", checked)
+        if solver == "p1":
+            admm_solve_p1(obs, r, AdmmConfig(lambda_star=0.03, lambda_1=0.01, max_iters=100))
+        else:
+            admm_solve_p2_path(obs, r, AdmmConfig(max_iters=100),
+                               default_lambda(20, 20) * np.array([0.3, 1.0, 3.0]))
+        assert fallbacks == []
+        assert len(kept) >= 100 and 0 < np.median(kept) < 20  # thresholds bite
 
 
 class TestAdmmP1:

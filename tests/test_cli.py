@@ -701,3 +701,19 @@ class TestCliPlumbing:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         if command == "diagnose":  # rejected before any work
             assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["solver.rho=0", "solver.step_safety=0.5"])
+    def test_burst_compare_rejects_solver_settings_before_work(self, tmp_path, capsys,
+                                                               monkeypatch, setting):
+        def no_work(*args):
+            raise AssertionError("the scenario was built before the settings were checked")
+
+        monkeypatch.setattr(pipelines, "build_burst_scenario", no_work)
+        cfg = write_cfg(tmp_path / "cfg.txt", (
+            "synth.flows=10\nsynth.periods=10\nburst.days=2\nsolver.max_iters=20\n"
+            "solver.mm_max_iters=20\n" + setting + "\n"))
+        out = tmp_path / "out"
+        assert main(["burst-compare", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid solver settings")
+        assert not out.exists()
