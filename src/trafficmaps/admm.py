@@ -4,8 +4,12 @@ One splitting loop, `_split`, serves all three: auxiliary copies O of X and B
 of A, so the routing matrix never couples a prox step.  Each iteration
 soft-thresholds A, solves for O column by column, thresholds the singular
 values of X and solves for B; each solve is one batched product over the
-per-column inverses.  The loop runs a stack of problems that differ only in
-their l1 weight, with one stacked call per kernel and iteration:
+per-column inverses.  The singular value thresholding (`svt`) is one batched
+`eigh` of the Gram matrices M'M, SVT(M) = M V diag(1 - tau/max(s, tau)) V'.
+Squaring M costs accuracy in proportion to ||M||_F/tau, so a guard, checked
+before M'M is formed (it could overflow), sends a matrix to an SVD once that
+error could reach 1e-10 relative.  The loop runs a stack of problems that
+differ only in their l1 weight, with one stacked call per kernel and iteration:
 `admm_solve_p2_path` solves p2 over a grid of weights this way, and
 `admm_solve_p2`, p1 and p6 run a stack of one.  The estimators differ only in
 their data-fit term, which a per-estimator fit step supplies as targets for
