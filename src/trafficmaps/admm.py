@@ -1,25 +1,24 @@
-"""ADMM solvers for the convex traffic/anomaly estimators.
+"""Solvers for the convex traffic/anomaly estimators.
 
-One splitting loop, `_split`, serves all three: auxiliary copies O of X and B
-of A, so the routing matrix never couples a prox step.  Each iteration
-soft-thresholds A, solves for O column by column, thresholds the singular
-values of X and solves for B; each solve is one batched product over the
-per-column inverses.  The singular value thresholding (`svt`) is one batched
-`eigh` of the Gram matrices M'M, SVT(M) = M V diag(1 - tau/max(s, tau)) V'.
-Squaring M costs accuracy in proportion to ||M||_F/tau, so a guard, checked
-before M'M is formed (it could overflow), sends a matrix to an SVD once that
-error could reach 1e-10 relative.  The loop runs a stack of problems that
-differ only in their l1 weight, with one stacked call per kernel and iteration:
-`admm_solve_p2_path` solves p2 over a grid of weights this way, and
-`admm_solve_p2`, p1 and p6 run a stack of one.  The estimators differ only in
-their data-fit term, which a per-estimator fit step supplies as targets for
-O + B:
+* p2, the equality-constrained noiseless program, by ADMM (`_split`):
+  auxiliary copies O of X and B of A, so the routing matrix never couples a
+  prox step, and multipliers on the link and flow constraints.  Each
+  iteration soft-thresholds A, solves for O column by column, thresholds the
+  singular values of X and solves for B; each solve is one batched product
+  over the per-column inverses.  The loop runs a stack of problems that
+  differ only in their l1 weight, with one stacked call per kernel and
+  iteration: `admm_solve_p2_path` solves p2 over a grid of weights this way,
+  and `admm_solve_p2` runs a stack of one.
+* p1, its penalized least-squares counterpart, and p6, the outlier-robust
+  extension with sparse link/flow outlier blocks, by accelerated proximal
+  gradient (`_prox_grad`): both are a smooth fit plus proximable penalties,
+  so they need no splitting, no multipliers and no column solves.
 
-* p2, the equality-constrained noiseless program: multipliers on the link
-  and flow constraints (`_Multipliers`);
-* p1, its penalized least-squares counterpart: the counts (`_FixedTargets`);
-* p6, the outlier-robust extension: the counts minus sparse link/flow
-  outliers, soft-thresholded after each sweep (`_Outliers`).
+The singular value thresholding (`svt`) is one batched `eigh` of the Gram
+matrices M'M, SVT(M) = M V diag(1 - tau/max(s, tau)) V'.  Squaring M costs
+accuracy in proportion to ||M||_F/tau, so a guard, checked before M'M is
+formed (it could overflow), sends a matrix to an SVD once that error could
+reach 1e-10 relative.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from .mm import gram_spectral_norm
 from .model import DivergenceError, Observations, SolverReport, project_sampling, routing_entries
 
 
@@ -51,16 +51,17 @@ class AdmmConfig:
     tol_dual: float | None = None
 
     def __post_init__(self):
-        if self.c <= 0:
+        # each check is written so that NaN fails it
+        if not self.c > 0:
             raise ValueError("penalty coefficient must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         for name in ("lam", "tol_primal", "tol_dual"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive when set")
         for name in ("lambda_star", "lambda_1", "lambda_y", "lambda_z"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
     def resolved_tols(self, Y: np.ndarray) -> tuple[float, float]:
@@ -135,7 +136,7 @@ def _svt_by_svd(stack: np.ndarray, tau: float) -> np.ndarray:
 
 
 class ColumnSolves:
-    """Cached per-column solve handles for (scale*I + Pi_t + R' Piy_t R)^{-1}.
+    """Cached per-column solve handles for (I + Pi_t + R'R)^{-1}.
 
     Slot t of one (T, F, F) array holds column t's inverse; columns sharing a
     mask pattern share one factorization and copy its slot.  `apply` solves
@@ -143,30 +144,20 @@ class ColumnSolves:
     results do not depend on column ordering.
     """
 
-    def __init__(self, R: np.ndarray, mask: np.ndarray, diag_scale: float = 1.0,
-                 link_mask: np.ndarray | None = None):
+    def __init__(self, R: np.ndarray, mask: np.ndarray):
         R = np.asarray(R, dtype=np.float64)
         mask = np.asarray(mask, dtype=bool)
         F = R.shape[1]
         T = mask.shape[1]
         if mask.shape[0] != F:
             raise ValueError("mask rows must match routing columns")
-        if link_mask is not None:
-            link_mask = np.asarray(link_mask, dtype=bool)
-            if link_mask.shape != (R.shape[0], T):
-                raise ValueError("link mask must be links-by-periods")
-        self._R = R
         self._mask = mask
-        self._link_mask = link_mask
-        self._scale = float(diag_scale)
-        self._gram = R.T @ R if link_mask is None else None
+        self._gram = R.T @ R
         self._inverses = np.empty((T, F, F))
         first: dict = {}
         eye = np.eye(F)
         for t in range(T):
             key = mask[:, t].tobytes()
-            if link_mask is not None:
-                key = (key, link_mask[:, t].tobytes())
             if key in first:
                 self._inverses[t] = self._inverses[first[key]]
             else:
@@ -180,12 +171,7 @@ class ColumnSolves:
 
     def system_matrix(self, t: int) -> np.ndarray:
         """The matrix whose inverse column t is solved against."""
-        if self._link_mask is None:
-            gram = self._gram
-        else:
-            Rm = self._R[self._link_mask[:, t]]
-            gram = Rm.T @ Rm
-        G = self._scale * np.eye(len(gram)) + gram
+        G = np.eye(len(self._gram)) + self._gram
         obs = np.flatnonzero(self._mask[:, t])
         G[obs, obs] += 1.0
         return G
@@ -221,127 +207,60 @@ def _on_links(M: np.ndarray, link_mask: np.ndarray | None) -> np.ndarray:
     return M if link_mask is None else np.where(link_mask, M, 0.0)
 
 
-class _FixedTargets:
-    """p1 fit step: the targets are the observed counts."""
+def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, lams) -> list:
+    """The p2 splitting loop, run on a stack of problems that differ only in
+    their l1 weight.
 
-    def __init__(self, R: np.ndarray, obs: Observations):
-        self._data = (R.T @ obs.link_counts, obs.flow_counts)
-
-    def data(self):
-        return self._data
-
-    def update(self, OB: np.ndarray):
-        return {}, ()
-
-
-class _Multipliers:
-    """p2 fit step: dual ascent on the constraints Y = R(O+B), Pi(Z) = Pi(O+B),
-    with one pair of multipliers per problem of a stack of k.
-
-    The targets are Y + M_y/c and Z + M_z/c.  The multipliers start at c*Y and
-    c*Z and absorb each residual as soon as it is measured, so each sweep sees
-    the residuals of the sweep before it.
+    Problem i minimizes ||X||_* + lams[i]*||A||_1 subject to Y = R(O + B),
+    Pi(Z) = Pi(O + B), O = X and B = A.  The data-constraint multipliers
+    start at c*Y and c*Z and absorb each residual as soon as it is measured.
+    The problems share one ColumnSolves, and every operation acts on each
+    problem alone, so a problem gets the same bytes in any stack.  A problem
+    leaves the stack, its result copied out, when it converges or its
+    iterate turns non-finite.  Returns, per weight in order, (X, A, report)
+    or the DivergenceError that ended it.
     """
-
-    def __init__(self, R: np.ndarray, obs: Observations, c: float, k: int):
-        self._R, self._obs, self._c = R, obs, c
-        self.M_y = np.zeros((k,) + obs.link_counts.shape)
-        self.M_z = np.zeros((k,) + obs.flow_counts.shape)
-        self.M_y += c * obs.link_counts
-        self.M_z += c * obs.flow_counts
-
-    def data(self):
-        return (self._R.T @ (self._obs.link_counts + self.M_y / self._c),
-                self._obs.flow_counts + self.M_z / self._c)
-
-    def update(self, OB: np.ndarray):
-        obs = self._obs
-        r_y = obs.link_counts - self._R @ OB
-        r_z = np.where(obs.mask.mask, obs.flow_counts - OB, 0.0)
-        self.M_y += self._c * r_y
-        self.M_z += self._c * r_z
-        return {"r_y": _norms(r_y), "r_z": _norms(r_z)}, ()
-
-    def narrow(self, keep: list):
-        """Keep the multipliers of the problems that stay in the stack."""
-        self.M_y, self.M_z = self.M_y[keep], self.M_z[keep]
-
-
-class _Outliers:
-    """p6 fit step: the targets are the counts minus sparse outlier blocks
-    O_y, O_z, the soft-thresholded residuals on the observed cells."""
-
-    def __init__(self, R: np.ndarray, obs: Observations, cfg: AdmmConfig, link_mask):
-        self._R, self._obs, self._cfg, self._link_mask = R, obs, cfg, link_mask
-        self.O_y, self.O_z = np.zeros_like(obs.link_counts), np.zeros(obs.flow_counts.shape)
-
-    def data(self):
-        # both flow terms are supported on the flow mask
-        return (self._R.T @ _on_links(self._obs.link_counts - self.O_y, self._link_mask),
-                self._obs.flow_counts - self.O_z)
-
-    def update(self, OB: np.ndarray):
-        obs, cfg = self._obs, self._cfg
-        O_y = soft_threshold(_on_links(obs.link_counts - self._R @ OB, self._link_mask),
-                             cfg.lambda_y)
-        O_z = soft_threshold(np.where(obs.mask.mask, obs.flow_counts - OB, 0.0), cfg.lambda_z)
-        changes = (_norms(O_y - self.O_y), _norms(O_z - self.O_z))
-        self.O_y, self.O_z = O_y, O_z
-        return {}, changes
-
-
-def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: float,
-           nuclear: float, l1, link_mask: np.ndarray | None = None) -> list:
-    """The splitting loop shared by p1, p2 and p6, run on a stack of problems
-    that differ only in their l1 weight.
-
-    Problem i minimizes nuclear*||X||_* + l1[i]*||A||_1 + weight * (fit of
-    O + B to the fit step's targets) subject to O = X and B = A.  The problems
-    share one ColumnSolves, and each iteration makes one stacked call to each
-    kernel; every operation acts on each problem alone, so a problem gets the
-    same bytes in any stack.  A problem leaves the stack when it converges or
-    its iterate turns non-finite; the others go on, and the fit step narrows
-    its per-problem state to them (p1 and p6 run a stack of one, so only the
-    p2 fit step is ever narrowed).  A result is copied out of the stack, so it
-    does not keep the stack alive.  Returns, per weight in order, (X, A,
-    report without objective) or the DivergenceError that ended it.
-    """
-    mask = obs.mask.mask
+    Y, Z, mask = obs.link_counts, obs.flow_counts, obs.mask.mask
     c = cfg.c
-    tol_primal, tol_dual = cfg.resolved_tols(obs.link_counts)
-    s = c / weight
-    handles = ColumnSolves(R, mask, diag_scale=s, link_mask=link_mask)
-    tau = np.reshape(l1, (-1, 1, 1)) / c
+    tol_primal, tol_dual = cfg.resolved_tols(Y)
+    handles = ColumnSolves(R, mask)
+    tau = np.reshape(lams, (-1, 1, 1)) / c
     live = list(range(len(tau)))  # the weight index of each problem in the stack
     results: list = [None] * len(tau)
     hists: list = [{} for _ in live]
-    X, A, B, O, M_a, M_x = (np.zeros((len(tau),) + mask.shape) for _ in range(6))
+    X, A, B, O, M_a, M_x, M_z = (np.zeros((len(tau),) + mask.shape) for _ in range(7))
+    M_y = np.zeros((len(tau),) + Y.shape)
+    M_y += c * Y
+    M_z += c * Z
     for k in range(cfg.max_iters):
         M_a += c * (B - A)
         M_x += c * (O - X)
 
-        # With G = s*I + Pi + R' Lambda R, the O update G^{-1}(V - (Pi + R' Lambda R) B)
-        # equals G^{-1}(V + s*B) - B, so no data-fit product is formed; B likewise.
-        data_y, data_z = fit.data()
+        # With G = I + Pi + R'R, the O update G^{-1}(V - (Pi + R'R) B) equals
+        # G^{-1}(V + B) - B, so no data-fit product is formed; B likewise.
+        data_y, data_z = R.T @ (Y + M_y / c), Z + M_z / c
         A_next = soft_threshold(B + M_a / c, tau)
         step_a, A = _norms(A_next - A), A_next
-        O = handles.apply((c * X - M_x) / weight + data_y + data_z + s * B) - B
+        O = handles.apply((c * X - M_x) / c + data_y + data_z + B) - B
         diverged = _non_finite(O)
         if diverged.any():
             O[diverged] = 0.0  # keeps the SVD defined; these problems leave after this sweep
-        X_next = svt(O + M_x / c, nuclear / c)
+        X_next = svt(O + M_x / c, 1.0 / c)
         step_x, X = _norms(X_next - X), X_next
         diverged |= _non_finite(X)
-        B = handles.apply((c * A - M_a) / weight + data_y + data_z + s * O) - O
+        B = handles.apply((c * A - M_a) / c + data_y + data_z + O) - O
 
-        residuals, changes = fit.update(O + B)
-        residuals |= {"r_ba": _norms(B - A), "r_ox": _norms(O - X)}
-        names = (*residuals, "delta")
+        r_y = Y - R @ (O + B)
+        r_z = np.where(mask, Z - (O + B), 0.0)
+        M_y += c * r_y
+        M_z += c * r_z
+        residuals = {"r_y": _norms(r_y), "r_z": _norms(r_z),
+                     "r_ba": _norms(B - A), "r_ox": _norms(O - X)}
         keep = []
         for j, i in enumerate(live):
             primal = [values[j] for values in residuals.values()]
-            delta = max(step_x[j], step_a[j], *(change[j] for change in changes))
-            for name, value in zip(names, (*primal, delta)):
+            delta = max(step_x[j], step_a[j])
+            for name, value in zip((*residuals, "delta"), (*primal, delta)):
                 hists[i].setdefault(name, []).append(value)
             if diverged[j]:
                 results[i] = DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
@@ -354,8 +273,8 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, fit, *, weight: fl
         if not all(keep):
             live = [i for i, kept in zip(live, keep) if kept]
             tau = tau[keep]
-            X, A, B, O, M_a, M_x = (M[keep] for M in (X, A, B, O, M_a, M_x))
-            fit.narrow(keep)
+            X, A, B, O, M_a, M_x, M_y, M_z = (
+                M[keep] for M in (X, A, B, O, M_a, M_x, M_y, M_z))
     for j, i in enumerate(live):
         if results[i] is None:  # still in the stack after max_iters
             results[i] = (X[j].copy(), A[j].copy(),
@@ -382,9 +301,7 @@ def admm_solve_p2_path(obs: Observations, routing, cfg: AdmmConfig, lams) -> lis
     lams = np.asarray(lams, dtype=np.float64)
     if lams.ndim != 1 or lams.size == 0 or not (lams > 0).all():
         raise ValueError("lams must be a non-empty list of positive weights")
-    R = routing_entries(routing)
-    return _split(obs, R, cfg, _Multipliers(R, obs, cfg.c, lams.size), weight=cfg.c,
-                  nuclear=1.0, l1=lams)
+    return _split(obs, routing_entries(routing), cfg, lams)
 
 
 def admm_solve_p2(obs: Observations, routing, cfg: AdmmConfig | None = None):
@@ -399,23 +316,95 @@ def admm_solve_p2(obs: Observations, routing, cfg: AdmmConfig | None = None):
 
 
 def p1_objective(X, A, obs: Observations, routing, lambda_star: float, lambda_1: float) -> float:
-    R = routing_entries(routing)
-    fit_y = 0.5 * np.linalg.norm(obs.link_counts - R @ (X + A)) ** 2
-    fit_z = 0.5 * np.linalg.norm(project_sampling(obs.mask, obs.flow_counts - X - A)) ** 2
-    return float(
-        fit_y
-        + fit_z
-        + lambda_star * np.linalg.svd(X, compute_uv=False).sum()
-        + lambda_1 * np.abs(A).sum()
-    )
+    """The p1 objective: p6's with no outliers and every link observed."""
+    weights = AdmmConfig(lambda_star=lambda_star, lambda_1=lambda_1)
+    return p6_objective(X, A, 0.0, 0.0, obs, routing, None, weights)
+
+
+def fit_lipschitz(R: np.ndarray) -> float:
+    """L = 2(sigma_max(R'R) + 1) + 1, a Lipschitz constant of the gradient of
+    the p1/p6 data fit in (X, A, O_y, O_z).
+
+    In each column the fit's curvature in M = X + A is at most
+    ||R' Omega_t R + Pi_t|| <= sigma_max(R'R) + 1, and ||X + A||^2 <=
+    2(||X||^2 + ||A||^2); the outlier blocks enter with unit curvature, and
+    Young's inequality with weight 1/(2(sigma_max(R'R) + 1)) on the cross
+    terms adds the final 1.  p1 takes the same step, so a p6 whose outlier
+    blocks stay zero takes p1's iterates.
+    """
+    return 2.0 * (gram_spectral_norm(R) + 1.0) + 1.0
+
+
+def _prox_grad(obs: Observations, R: np.ndarray, cfg: AdmmConfig, outliers: bool,
+               link_mask: np.ndarray | None = None):
+    """Accelerated proximal gradient for p1 and, with `outliers`, p6.
+
+    Each iteration takes one gradient of the smooth fit at the extrapolated
+    point y, G = R' Omega_y(R M + O_y - Y) + Pi(M + O_z - Z) with M = X + A,
+    and one prox of each penalty at step 1/L (`fit_lipschitz`): `svt` on X,
+    `soft_threshold` on A and on the outlier blocks.  The momentum restarts
+    when <y - x_next, x_next - x> > 0 (O'Donoghue and Candes).  The solve
+    stops when the prox-gradient residual L*||x_next - y||_F over all blocks
+    is at most min(tol_primal, tol_dual); dist(0, subdifferential) at x_next
+    is at most twice that.  Returns X, A, the flat outlier part (O_y then O_z;
+    empty for p1) and the report without objective.
+    """
+    Y, Z, mask = obs.link_counts, obs.flow_counts, obs.mask.mask
+    (F, T), n_y = Z.shape, Y.size
+    L = fit_lipschitz(R)
+    tol = min(cfg.resolved_tols(Y))
+    # One flat iterate: X and A, then p6's O_y and O_z, so the momentum step is
+    # one vector operation.  The norms sum one `vdot` per part, so the outlier
+    # part, empty for p1 and zero in a p6 that keeps no outliers, adds
+    # exactly 0 to p1's figures.
+    m = 2 * F * T
+    x = y = np.zeros(m + (n_y + Z.size if outliers else 0))
+    t, restarts, hist = 1.0, 0, []
+    for k in range(cfg.max_iters):
+        X_y, A_y = y[:m].reshape(2, F, T)
+        M = X_y + A_y
+        r_y, r_z = R @ M - Y, M - Z
+        if outliers:
+            r_y += y[m:m + n_y].reshape(Y.shape)
+            r_z += y[m + n_y:].reshape(Z.shape)
+        r_y, r_z = _on_links(r_y, link_mask), np.where(mask, r_z, 0.0)
+        G = (R.T @ r_y + r_z) / L
+        V = X_y - G
+        if not np.isfinite(V).all():
+            raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
+        x_next = np.empty_like(y)
+        X_next, A_next = x_next[:m].reshape(2, F, T)
+        X_next[...] = svt(V, cfg.lambda_star / L)
+        A_next[...] = soft_threshold(A_y - G, cfg.lambda_1 / L)
+        if outliers:
+            x_next[m:m + n_y] = soft_threshold(y[m:m + n_y] - r_y.ravel() / L, cfg.lambda_y / L)
+            x_next[m + n_y:] = soft_threshold(y[m + n_y:] - r_z.ravel() / L, cfg.lambda_z / L)
+        d, e = x_next - y, x_next - x
+        residual = L * np.sqrt(np.vdot(d[:m], d[:m]) + np.vdot(d[m:], d[m:]))
+        if not np.isfinite(residual):
+            raise DivergenceError(f"non-finite iterate at iteration {k}", iteration=k)
+        hist.append(float(residual))
+        x = x_next
+        if residual <= tol:
+            break
+        if np.vdot(d[:m], e[:m]) + np.vdot(d[m:], e[m:]) < 0:
+            t, y = 1.0, x
+            restarts += 1
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x + ((t - 1.0) / t_next) * e
+            t = t_next
+    X, A = x[:m].reshape(2, F, T)
+    return X, A, x[m:], SolverReport(converged=hist[-1] <= tol, iterations=len(hist),
+                                     residuals={"grad_map": hist}, restarts=restarts)
 
 
 def admm_solve_p1(obs: Observations, routing, cfg: AdmmConfig | None = None):
-    """Penalized estimator: quadratic data fit plus nuclear and l1 penalties."""
+    """Penalized estimator: quadratic data fit plus nuclear and l1 penalties,
+    by accelerated proximal gradient (`_prox_grad`)."""
     cfg = cfg or AdmmConfig()
     R = routing_entries(routing)
-    X, A, report = _single(_split(obs, R, cfg, _FixedTargets(R, obs), weight=1.0,
-                                  nuclear=cfg.lambda_star, l1=cfg.lambda_1))
+    X, A, _, report = _prox_grad(obs, R, cfg, outliers=False)
     objective = p1_objective(X, A, obs, routing, cfg.lambda_star, cfg.lambda_1)
     return X, A, replace(report, objective=objective)
 
@@ -447,9 +436,7 @@ def admm_solve_p6(obs: Observations, routing, cfg: AdmmConfig | None = None,
         link_mask = np.asarray(link_mask, dtype=bool)
         if link_mask.shape != obs.link_counts.shape:
             raise ValueError("link mask must match link counts")
-    fit = _Outliers(R, obs, cfg, link_mask)
-    X, A, report = _single(_split(obs, R, cfg, fit, weight=1.0, nuclear=cfg.lambda_star,
-                                  l1=cfg.lambda_1, link_mask=link_mask))
-    O_y, O_z = fit.O_y[0], fit.O_z[0]
+    X, A, O, report = _prox_grad(obs, R, cfg, outliers=True, link_mask=link_mask)
+    O_y, O_z = O[:O.size - X.size].reshape(obs.link_counts.shape), O[-X.size:].reshape(X.shape)
     objective = p6_objective(X, A, O_y, O_z, obs, routing, link_mask, cfg)
     return X, A, O_y, O_z, replace(report, objective=objective)

@@ -72,12 +72,15 @@ class MmConfig:
     accelerate: bool = False
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         if self.rho < 1:
             raise ValueError("factor rank must be at least 1")
-        if self.step_safety < 1:
+        if not self.step_safety >= 1:
             raise ValueError("step_safety must be at least 1")
-        if self.lambda_star < 0 or self.lambda_1 < 0:
+        if not (self.lambda_star >= 0 and self.lambda_1 >= 0):
             raise ValueError("penalty weights must be nonnegative")
+        if not self.tol >= 0:
+            raise ValueError("tol must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 

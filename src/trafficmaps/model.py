@@ -36,10 +36,11 @@ class DivergenceError(RuntimeError):
 class SolverReport:
     """How a solve ended, for the ADMM and MM solvers alike.
 
-    `residuals` holds ADMM's per-iteration norms by name and `objectives` the
-    MM objective trajectory; each stays empty for the other family.
-    `objective` is the final objective value, None where the solver has none
-    (p2).  `restarts` counts rejected MM extrapolations.
+    `residuals` holds the per-iteration norms of p1, p2 and p6 by name and
+    `objectives` the MM objective trajectory; each stays empty for the other
+    family.  `objective` is the final objective value, None where the solver
+    has none (p2).  `restarts` counts momentum restarts: rejected MM
+    extrapolations, and the gradient restarts of p1 and p6.
     """
 
     converged: bool

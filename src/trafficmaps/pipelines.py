@@ -105,10 +105,12 @@ CONFIG_KEYS = {
     "solver.lambda_1": (float, 0.05, "l1 / anomaly-factor weight"),
     "solver.lambda_y": (float, 1.0, "link-outlier weight (p6)"),
     "solver.lambda_z": (float, 1.0, "flow-outlier weight (p6)"),
-    "solver.c": (float, 1.0, "ADMM penalty coefficient"),
-    "solver.max_iters": (int, 2000, "ADMM iteration cap"),
-    "solver.tol_primal": (float, None, "ADMM primal tolerance (default 1e-6*(1+||Y||_F))"),
-    "solver.tol_dual": (float, None, "ADMM iterate-change tolerance"),
+    "solver.c": (float, 1.0, "ADMM penalty coefficient (p2)"),
+    "solver.max_iters": (int, 2000, "iteration cap of p1, p2 and p6"),
+    "solver.tol_primal": (float, None, "p2 constraint-residual tolerance (default "
+                          "1e-6*(1+||Y||_F)); p1/p6 stop once their prox-gradient "
+                          "residual is at most min(tol_primal, tol_dual)"),
+    "solver.tol_dual": (float, None, "p2 iterate-change tolerance (same default)"),
     "solver.rho": (int, 3, "factor rank of the bilinear solver"),
     "solver.tol": (float, 1e-8, "relative objective-change stopping threshold (p5)"),
     "solver.step_safety": (float, 1.1, "step-bound safety multiplier (p5)"),

@@ -14,12 +14,15 @@ from trafficmaps.admm import (
     admm_solve_p2_path,
     admm_solve_p6,
     default_lambda,
+    fit_lipschitz,
     p1_objective,
+    p6_objective,
     soft_threshold,
     svt,
 )
 from trafficmaps.model import (
-    DivergenceError, Observations, TrafficMatrices, relative_errors, routing_entries,
+    DivergenceError, Observations, SamplingMask, TrafficMatrices, relative_errors,
+    routing_entries,
 )
 from trafficmaps.pipelines import ExperimentConfig, build_scenario
 
@@ -269,24 +272,19 @@ class TestColumnSolves:
         for t in rng.permutation(9):
             assert np.array_equal(out[:, t], handles.apply_column(t, V[:, t]))
 
-    @pytest.mark.parametrize("scale", [1.0, 2.5])
-    @pytest.mark.parametrize("partial_links", [False, True])
-    def test_update_identity(self, scale, partial_links):
-        # The O and B updates solve G_t x = v_t - (Pi_t + R' Lambda_t R) b_t with
-        # G_t = scale*I + Pi_t + R' Lambda_t R; _split forms G^{-1}(V + scale*B) - B.
+    def test_update_identity(self):
+        # The O and B updates solve G_t x = v_t - (Pi_t + R'R) b_t with
+        # G_t = I + Pi_t + R'R; _split forms G^{-1}(V + B) - B.
         rng = np.random.default_rng(7)
         R = rng.random((6, 9))
         mask = rng.random((9, 8)) < 0.4
         mask[:, [5, 6]] = mask[:, [1, 2]]  # repeated patterns
-        link_mask = rng.random((6, 8)) < 0.7 if partial_links else np.ones((6, 8), dtype=bool)
-        handles = ColumnSolves(R, mask, diag_scale=scale,
-                               link_mask=link_mask if partial_links else None)
+        handles = ColumnSolves(R, mask)
         V, B = rng.standard_normal((9, 8)), rng.standard_normal((9, 8))
-        out = handles.apply(V + scale * B) - B
+        out = handles.apply(V + B) - B
         for t in range(8):
             b = B[:, t]
-            fit = mask[:, t] * b + R.T @ (link_mask[:, t] * (R @ b))
-            ref = np.linalg.solve(handles.system_matrix(t), V[:, t] - fit)
+            ref = np.linalg.solve(handles.system_matrix(t), V[:, t] - mask[:, t] * b - R.T @ (R @ b))
             assert np.abs(out[:, t] - ref).max() < 1e-12
 
     def test_precompute_wrapper(self):
@@ -430,7 +428,8 @@ class TestSolversTakeGramForm:
 
         def checked(M, tau):
             X = real(M, tau)
-            for Mi, Xi in zip(M, X):
+            # p2 passes a stack, p1 one matrix
+            for Mi, Xi in zip(M.reshape((-1,) + M.shape[-2:]), X.reshape((-1,) + X.shape[-2:])):
                 assert np.linalg.norm(Xi - by_svd(Mi, tau)) <= 1e-12 * np.linalg.norm(Mi)
                 kept.append(np.linalg.matrix_rank(Xi))
             return X
@@ -497,6 +496,76 @@ class TestAdmmP1:
             devs.append(np.linalg.norm(X1 - X2) / np.linalg.norm(X2))
         assert devs[1] < devs[0]
         assert devs[1] < 5e-3
+
+
+class TestProxGrad:
+    """The accelerated proximal-gradient loop behind p1 and p6."""
+
+    @staticmethod
+    def fit_hessian(R, mask, link_mask, outliers):
+        """The dense Hessian of the smooth p1/p6 fit in (X, A[, O_y, O_z]), by
+        polarization of the module's own objective at zero data and weights."""
+        (L, F), T = R.shape, mask.shape[1]
+        obs = Observations(np.zeros((L, T)), np.zeros((F, T)), SamplingMask(mask))
+        zero = AdmmConfig(lambda_star=0.0, lambda_1=0.0, lambda_y=0.0, lambda_z=0.0)
+        shapes = [(F, T), (F, T)] + ([(L, T), (F, T)] if outliers else [])
+        n = sum(a * b for a, b in shapes)
+
+        def fit(w):
+            blocks, start = [], 0
+            for a, b in shapes:
+                blocks.append(w[start:start + a * b].reshape(a, b))
+                start += a * b
+            if outliers:
+                return p6_objective(*blocks, obs, R, link_mask, zero)
+            return p1_objective(*blocks, obs, R, 0.0, 0.0)
+
+        eye = np.eye(n)
+        diag = np.array([fit(e) for e in eye])
+        H = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                H[i, j] = H[j, i] = fit(eye[i] + eye[j]) - diag[i] - diag[j]
+        return H
+
+    @pytest.mark.parametrize("kind", ["p1", "p6", "p6_link_mask"])
+    def test_step_bound_covers_fit_hessian(self, kind):
+        # The step 1/L is safe only if L bounds the fit's curvature; the MM
+        # curvature bounds are held to the same standard (criterion 05).
+        worst = 0.0
+        for inst in range(4):
+            rng = np.random.default_rng(40 + inst)
+            R = rng.random((3, 4))
+            mask = rng.random((4, 3)) < 0.5
+            link_mask = rng.random((3, 3)) < 0.6 if kind == "p6_link_mask" else None
+            H = self.fit_hessian(R, mask, link_mask, outliers=kind != "p1")
+            top = np.linalg.eigvalsh(H)[-1]
+            assert fit_lipschitz(R) >= top
+            worst = max(worst, top / fit_lipschitz(R))
+        assert worst > 0.5  # the Hessian is not trivially small
+
+    @pytest.mark.parametrize("solver", [admm_solve_p1, admm_solve_p6])
+    def test_non_finite_iterate_raises_divergence(self, solver):
+        r, _, _, obs = make_scenario(1, F=12, T=10, N=8, d_c=0.7)
+        huge = Observations(obs.link_counts * 1e308, obs.flow_counts, obs.mask)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+            solver(huge, r, AdmmConfig(max_iters=50))
+
+    def test_capped_solve_reports_not_converged(self):
+        r, _, _, obs = make_scenario(2)
+        X, A, rep = admm_solve_p1(obs, r, AdmmConfig(lambda_star=0.1, lambda_1=0.05,
+                                                     max_iters=3))
+        assert not rep.converged and rep.iterations == 3
+        assert len(rep.residuals["grad_map"]) == 3
+        assert rep.residuals["grad_map"][-1] > 1e-6 * (1 + np.linalg.norm(obs.link_counts))
+
+    def test_converged_solve_meets_its_tolerance(self):
+        r, _, _, obs = make_scenario(2)
+        cfg = AdmmConfig(lambda_star=0.1, lambda_1=0.05, tol_primal=1e-7, tol_dual=1e-5)
+        _, _, rep = admm_solve_p1(obs, r, cfg)
+        # the smaller of the two tolerances stops the loop
+        assert rep.converged and rep.residuals["grad_map"][-1] <= 1e-7
+        assert min(rep.residuals["grad_map"][:-1]) > 1e-7
 
 
 class TestAdmmP6:

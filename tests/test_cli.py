@@ -161,11 +161,11 @@ class TestSolveCommand:
         assert read_manifest(out / "report.txt")["converged"] == "False"
 
     @pytest.mark.parametrize("kind, keys", [
-        ("p1", {"objective", "residual.r_ba", "residual.r_ox", "residual.delta"}),
+        ("p1", {"objective", "residual.grad_map"}),
         ("p2", {"residual.r_y", "residual.r_z", "residual.r_ba", "residual.r_ox",
                 "residual.delta"}),
         ("p5", {"objective"}),
-        ("p6", {"objective", "residual.r_ba", "residual.r_ox", "residual.delta"}),
+        ("p6", {"objective", "residual.grad_map"}),
     ])
     def test_report_keys(self, tmp_path, scenario_dir, kind, keys):
         cfg = write_cfg(
@@ -685,6 +685,14 @@ class TestCliPlumbing:
         ("burst-compare", "solver.lam=-1", "invalid solver settings"),
         ("burst-compare", "solver.step_safety=0.5", "invalid solver settings"),
         ("diagnose", "diagnose.lam=-1", "diagnose.lam must be positive"),
+        # NaN passes a `v < 0` check; each of these ran to the cap or diverged
+        ("solve", "solver.kind=p1\nsolver.lambda_star=nan", "invalid solver settings"),
+        ("solve", "solver.kind=p1\nsolver.lambda_1=nan", "invalid solver settings"),
+        ("solve", "solver.kind=p1\nsolver.tol_dual=nan", "invalid solver settings"),
+        ("solve", "solver.kind=p5\nsolver.lambda_star=nan", "invalid solver settings"),
+        ("solve", "solver.kind=p5\nsolver.step_safety=nan", "invalid solver settings"),
+        ("solve", "solver.kind=p5\nsolver.tol=nan", "invalid solver settings"),
+        ("phase-grid", "solver.c=nan", "invalid solver settings"),
     ])
     def test_invalid_solver_setting_exits_2(self, tmp_path, capsys, command, setting, message):
         scn = tmp_path / "scn"
