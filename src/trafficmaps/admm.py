@@ -256,6 +256,7 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, lams) -> list:
         M_z += c * r_z
         residuals = {"r_y": _norms(r_y), "r_z": _norms(r_z),
                      "r_ba": _norms(B - A), "r_ox": _norms(O - X)}
+        del r_y, r_z  # not held through the next sweep, which sets the peak memory
         keep = []
         for j, i in enumerate(live):
             primal = [values[j] for values in residuals.values()]
