@@ -1,10 +1,10 @@
 """Traffic-map estimation toolkit.
 
 Recovers a low-rank nominal traffic matrix and a sparse anomaly matrix from
-aggregated link counts and partially sampled flow counts, via a convex
-nuclear + l1 solver (ADMM) and a correlation-aware bilinear solver
-(alternating majorization-minimization), plus synthetic scenario generation,
-correlation learning, and exact-recovery diagnostics.
+aggregated link counts and partially sampled flow counts, via convex nuclear +
+l1 solvers (ADMM, accelerated proximal gradient) and a correlation-aware
+bilinear solver (alternating majorization-minimization), plus synthetic
+scenario generation, correlation learning, and exact-recovery diagnostics.
 """
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverReport:
-    """How a solve ended, for the ADMM and MM solvers alike.
+    """How a solve ended, for every solver.
 
     `residuals` holds the per-iteration norms of p1, p2 and p6 by name and
     `objectives` the MM objective trajectory; each stays empty for the other

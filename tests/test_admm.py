@@ -284,7 +284,8 @@ class TestColumnSolves:
         out = handles.apply(V + B) - B
         for t in range(8):
             b = B[:, t]
-            ref = np.linalg.solve(handles.system_matrix(t), V[:, t] - mask[:, t] * b - R.T @ (R @ b))
+            fit = mask[:, t] * b + R.T @ (R @ b)
+            ref = np.linalg.solve(handles.system_matrix(t), V[:, t] - fit)
             assert np.abs(out[:, t] - ref).max() < 1e-12
 
     def test_precompute_wrapper(self):
