@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .mm import gram_spectral_norm
 from .model import DivergenceError, Observations, SolverReport, project_sampling, routing_entries
@@ -138,31 +137,24 @@ def _svt_by_svd(stack: np.ndarray, tau: float) -> np.ndarray:
 class ColumnSolves:
     """Cached per-column solve handles for (I + Pi_t + R'R)^{-1}.
 
-    Slot t of one (T, F, F) array holds column t's inverse; columns sharing a
-    mask pattern share one factorization and copy its slot.  `apply` solves
-    every column in one batched product, each column independently, so
-    results do not depend on column ordering.
+    Slot t of one (T, F, F) array holds column t's inverse; the distinct mask
+    patterns are inverted in one batched call and each column copies its
+    pattern's inverse.  `apply` solves every column in one batched product,
+    each column independently, so results do not depend on column ordering.
     """
 
     def __init__(self, R: np.ndarray, mask: np.ndarray):
         R = np.asarray(R, dtype=np.float64)
         mask = np.asarray(mask, dtype=bool)
-        F = R.shape[1]
-        T = mask.shape[1]
-        if mask.shape[0] != F:
+        if mask.shape[0] != R.shape[1]:
             raise ValueError("mask rows must match routing columns")
+        if not np.isfinite(R).all():
+            raise ValueError("routing matrix must be finite")
         self._mask = mask
         self._gram = R.T @ R
-        self._inverses = np.empty((T, F, F))
-        first: dict = {}
-        eye = np.eye(F)
-        for t in range(T):
-            key = mask[:, t].tobytes()
-            if key in first:
-                self._inverses[t] = self._inverses[first[key]]
-            else:
-                self._inverses[t] = cho_solve(cho_factor(self.system_matrix(t)), eye)
-                first[key] = t
+        _, first, slot = np.unique(mask, axis=1, return_index=True, return_inverse=True)
+        # I + Pi_t + R'R has every eigenvalue >= 1, so a finite R inverts
+        self._inverses = np.linalg.inv(np.stack([self.system_matrix(t) for t in first]))[slot]
         self._n_patterns = len(first)
 
     @property

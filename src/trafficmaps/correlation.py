@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
 
 from .synth import BurstParams
 
@@ -52,9 +51,25 @@ def _is_diagonal_row(row: np.ndarray) -> bool:
     return row.size > 0 and row[0] > 0 and np.abs(row[1:]).max(initial=0.0) == 0.0
 
 
+def toeplitz(row: np.ndarray) -> np.ndarray:
+    """The symmetric Toeplitz matrix with first row `row`: entry (i, j) is
+    row[|i - j|]."""
+    idx = np.arange(len(row))
+    return row[np.abs(idx[:, None] - idx)]
+
+
 def _pd_inverse(M: np.ndarray) -> np.ndarray:
-    """Symmetrized inverse of a positive definite matrix, from its Cholesky factor."""
-    inv = cho_solve(cho_factor(M), np.eye(M.shape[0]))
+    """Symmetrized inverse of a positive definite matrix, L^{-T} L^{-1} from
+    its Cholesky factor L.
+
+    The factorization is the check: it raises LinAlgError unless M is
+    positive definite, and a non-finite M, which it would let through, is
+    rejected first.
+    """
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("matrix is not finite")
+    L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    inv = L_inv.T @ L_inv
     return 0.5 * (inv + inv.T)
 
 

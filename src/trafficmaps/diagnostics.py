@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .model import SamplingMask, SubspaceBundle, _frozen_array, project_phi, routing_entries
 
@@ -49,6 +48,15 @@ def _check_size(F: int, T: int):
 
 def _vec(M: np.ndarray) -> np.ndarray:
     return np.asarray(M, dtype=np.float64).ravel()
+
+
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the kernel of A, as columns: the right singular
+    vectors of a full SVD whose singular values are at most eps * max(m, n)
+    * s_max."""
+    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    tol = np.finfo(np.float64).eps * max(A.shape) * np.amax(s, initial=0.0)
+    return Vt[np.count_nonzero(s > tol):].T
 
 
 @dataclass(frozen=True)
@@ -91,10 +99,10 @@ def _coordinate_basis(cells: np.ndarray) -> SubspaceBasis:
 
 def nullspace_R_basis(routing, periods: int) -> SubspaceBasis:
     """Basis of {H : R H = 0}: kron(K, I) places each orthonormal kernel vector
-    of R (K = null_space(R)) in each column slot, kernel-major."""
+    of R (K = _null_space(R)) in each column slot, kernel-major."""
     R = routing_entries(routing)
     _check_size(R.shape[1], periods)
-    return SubspaceBasis(np.kron(null_space(R), np.eye(periods)), (R.shape[1], periods))
+    return SubspaceBasis(np.kron(_null_space(R), np.eye(periods)), (R.shape[1], periods))
 
 
 def nullspace_Pi_basis(mask: SamplingMask) -> SubspaceBasis:
@@ -105,7 +113,7 @@ def nullspace_Pi_basis(mask: SamplingMask) -> SubspaceBasis:
 def _column_kernels(routing, mask: SamplingMask):
     """(t, hidden_t, K_t) for each column t with unobserved flows.
 
-    K_t = null_space(R[:, hidden_t]) is an orthonormal basis of the flows that
+    K_t = _null_space(R[:, hidden_t]) is an orthonormal basis of the flows that
     column t of an element of N_R cap N_Pi may carry on its hidden rows.
     """
     R = routing_entries(routing)
@@ -114,7 +122,7 @@ def _column_kernels(routing, mask: SamplingMask):
     for t in range(mask.shape[1]):
         hidden = np.flatnonzero(~mask.mask[:, t])
         if hidden.size:
-            yield t, hidden, null_space(R[:, hidden])
+            yield t, hidden, _null_space(R[:, hidden])
 
 
 def intersect_nullspaces(routing, mask: SamplingMask) -> SubspaceBasis:
@@ -147,7 +155,7 @@ def phi_basis(bundle: SubspaceBundle) -> SubspaceBasis:
     F, T = bundle.shape
     _check_size(F, T)
     U0, V0 = bundle.U0, bundle.V0
-    G = null_space(U0.T)
+    G = _null_space(U0.T)
     return SubspaceBasis(np.hstack([np.kron(U0, np.eye(T)), np.kron(G, V0)]), (F, T))
 
 
@@ -180,7 +188,7 @@ def tau(routing, mask: SamplingMask) -> float:
     """Largest entry magnitude over unit-spectral-norm nullspace-intersection elements.
 
     Column t of any H in N_R cap N_Pi lies in the range of
-    K_t = null_space(R[:, hidden_t]), and ||H||_2 >= ||h_t||_2, so the ratio
+    K_t = _null_space(R[:, hidden_t]), and ||H||_2 >= ||h_t||_2, so the ratio
     |H_ft| / ||H||_2 is largest for a single-column H.  Within column t the
     best ratio is the norm of row f of the orthonormal K_t, which gives the
     exact closed form tau = max over t and f of ||K_t[f, :]||_2.
@@ -346,7 +354,7 @@ def demonstrate_nonidentifiability(routing, X0: np.ndarray, rank_tol: float = 1e
     """
     R = routing_entries(routing)
     X0 = np.asarray(X0, dtype=np.float64)
-    K = null_space(R)
+    K = _null_space(R)
     if K.shape[1] == 0:
         raise TrivialNullspaceError("routing matrix is injective; instance identifiable")
     U, s, Vt = np.linalg.svd(X0, full_matrices=False)

@@ -262,10 +262,15 @@ def mm_solve(obs: Observations, routing, corr: CorrelationSet,
     trajectory.  With `accelerate` the iterate is extrapolated Nesterov-style
     and restarted whenever the objective would increase.  The prior solves of
     the current and previous states are carried along, so the solver makes
-    4 + 4 * (iterations + restarts) prior solves in all.
+    4 + 4 * (iterations + restarts) prior solves in all.  An `init` must hold
+    an F-by-rho L, a T-by-rho Q and F-by-T B and C.
     """
     cfg = cfg or MmConfig()
     F, T = obs.flow_counts.shape
+    if init is not None and (init.L.shape, init.Q.shape, init.B.shape) != (
+            (F, cfg.rho), (T, cfg.rho), (F, T)):
+        raise ValueError(f"init must hold L {F}x{cfg.rho}, Q {T}x{cfg.rho} and B, C "
+                         f"{F}x{T}; got L {init.L.shape}, Q {init.Q.shape}, B {init.B.shape}")
     gram_norm = gram_spectral_norm(routing)
     state = init if init is not None else init_state(F, T, cfg, seed)
     solves = prior_solves(state, corr)

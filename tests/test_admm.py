@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize_scalar
 
 import trafficmaps.admm as admm
@@ -287,6 +288,25 @@ class TestColumnSolves:
             fit = mask[:, t] * b + R.T @ (R @ b)
             ref = np.linalg.solve(handles.system_matrix(t), V[:, t] - fit)
             assert np.abs(out[:, t] - ref).max() < 1e-12
+
+    def test_inverses_match_cholesky_solves(self):
+        rng = np.random.default_rng(8)
+        R = rng.random((7, 12))
+        mask = rng.random((12, 10)) < 0.4
+        mask[:, [6, 9]] = mask[:, [0, 3]]  # repeated patterns
+        handles = ColumnSolves(R, mask)
+        eye = np.eye(12)
+        for t in range(10):
+            ref = cho_solve(cho_factor(handles.system_matrix(t)), eye)
+            got = np.stack([handles.apply_column(t, e) for e in eye], axis=1)
+            assert np.abs(got - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_routing_raises(self, bad):
+        R = np.ones((3, 4))
+        R[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ColumnSolves(R, np.ones((4, 5), dtype=bool))
 
     def test_precompute_wrapper(self):
         r, _, _, obs = make_scenario(0, F=12, T=10, N=8, d_c=0.7)

@@ -625,14 +625,33 @@ class TestDiagnoseCommand:
 
 
 class TestCliPlumbing:
-    def test_import_leaves_out_signal_and_stats(self):
+    def test_no_command_loads_scipy(self, tmp_path):
+        # The package needs numpy only: a fresh interpreter that imports the
+        # CLI and runs every command on tiny inputs has loaded no scipy module.
         src = os.path.dirname(os.path.dirname(os.path.abspath(pipelines.__file__)))
-        code = ("import sys, trafficmaps.cli; print(sorted(m for m in "
-                "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules))")
+        scn = str(tmp_path / "scn")
+        synth = write_cfg(tmp_path / "synth.txt", SMALL_SYNTH)
+        solve = write_cfg(tmp_path / "solve.txt", (
+            f"io.scenario={scn}\nsolver.max_iters=20\nsolver.mm_max_iters=20\n"))
+        grid = write_cfg(tmp_path / "grid.txt", (
+            "synth.flows=10\nsynth.periods=10\nsynth.anomaly_prob=0.05\nphase.ranks=1\n"
+            "phase.sparsity_counts=2\nphase.lam_grid=1\nnetflow.pis=0.5\nnetflow.seeds=1\n"
+            "burst.days=2\nsolver.max_iters=20\nsolver.mm_max_iters=20\n"))
+        runs = [["synth", "--config", synth, "--out", scn]]
+        runs += [["solve", "--config", solve, "--out", str(tmp_path / kind), "--solver", kind]
+                 for kind in ("p1", "p2", "p5", "p6")]
+        runs += [[command, "--config", grid, "--out", str(tmp_path / command)]
+                 for command in ("phase-grid", "netflow-sweep", "burst-compare")]
+        runs += [["diagnose", "--config", solve, "--out", str(tmp_path / "diagnose")]]
+        code = ("import sys; from trafficmaps.cli import main; "
+                f"print([main(argv) for argv in {runs!r}]); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        codes, loaded = out.stdout.strip().splitlines()[-2:]
+        assert codes == str([0] * len(runs))
+        assert loaded == "[]"
 
     def test_seed_override(self, tmp_path):
         cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH)

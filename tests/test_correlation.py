@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 
+import trafficmaps.correlation as correlation
 from trafficmaps.correlation import (
     CorrelationSet,
     TrainingData,
@@ -283,6 +284,40 @@ class TestConditionPd:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             condition_pd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestLinearAlgebra:
+    """The package's own Toeplitz builder and PD inverse against scipy's."""
+
+    @pytest.mark.parametrize("row", [
+        np.array([2.0]), 0.7 ** np.arange(6), np.array([3.0, -1.0, 0.0, 0.5, -2.5]),
+        np.random.default_rng(15).standard_normal(48),
+    ])
+    def test_toeplitz_matches_scipy_bytes(self, row):
+        got = correlation.toeplitz(row)
+        assert got.dtype == np.float64
+        assert got.tobytes() == toeplitz(row).tobytes()
+
+    @pytest.mark.parametrize("row", [0.7 ** np.arange(9), 0.99 ** (np.arange(12) ** 2)])
+    def test_pd_inverse_matches_cholesky_solve(self, row):
+        # the second row is clipped at the condition_pd floor (condition 1e6)
+        M = condition_pd(toeplitz(row))
+        ref = cho_solve(cho_factor(M), np.eye(len(row)))
+        got = correlation._pd_inverse(M)
+        assert np.array_equal(got, got.T)
+        cond = np.linalg.cond(M)
+        assert np.linalg.norm(got - ref) <= 1e-14 * cond * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("M", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # indefinite
+        np.zeros((3, 3)),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.diag([1.0, np.inf]),
+    ])
+    def test_pd_inverse_rejects_non_pd_and_non_finite(self, M):
+        with pytest.raises(np.linalg.LinAlgError):
+            correlation._pd_inverse(M)
 
 
 class TestCorrelationSet:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+import trafficmaps.diagnostics as diagnostics
 from trafficmaps.admm import AdmmConfig, admm_solve_p2, default_lambda
 from trafficmaps.diagnostics import (
     NotLocallyIdentifiableError,
@@ -184,6 +185,41 @@ def built_bases(R, mask, bundle):
         "omega_basis": omega_basis(bundle.support),
         "phi_basis": phi_basis(bundle),
     }
+
+
+def null_space_cases():
+    rng = np.random.default_rng(16)
+    low = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))
+    return {
+        "tall-full-rank": rng.standard_normal((7, 4)),
+        "wide-full-rank": rng.standard_normal((3, 8)),
+        "square-full-rank": rng.standard_normal((5, 5)),
+        "tall-rank-deficient": low,
+        "wide-rank-deficient": low.T,
+        "routing-like": (rng.random((4, 9)) < 0.4).astype(float),
+        "zero": np.zeros((4, 6)),
+        "no-rows": np.zeros((0, 5)),
+        "no-columns": np.zeros((3, 0)),
+    }
+
+
+class TestNullSpace:
+    """diagnostics._null_space against scipy.linalg.null_space."""
+
+    @pytest.mark.parametrize("name", list(null_space_cases()))
+    def test_matches_scipy(self, name):
+        A = null_space_cases()[name]
+        got, ref = diagnostics._null_space(A), null_space(A)
+        assert got.shape == ref.shape
+        assert np.abs(got.T @ got - np.eye(got.shape[1])).max(initial=0.0) <= 1e-12
+        assert np.abs(got @ got.T - ref @ ref.T).max(initial=0.0) <= 1e-12
+        assert np.abs(A @ got).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(A).max(initial=0.0))
+
+    def test_cases_cover_each_kind(self):
+        dims = {name: null_space(A).shape[1] for name, A in null_space_cases().items()}
+        assert dims["tall-full-rank"] == dims["square-full-rank"] == 0
+        assert dims["wide-full-rank"] == 5 and dims["tall-rank-deficient"] == 3
+        assert dims["zero"] == 6 and dims["no-rows"] == 5 and dims["no-columns"] == 0
 
 
 class TestBasesByConstruction:

@@ -346,6 +346,19 @@ class TestMmSolve:
         tol = 1e-6 * (1 + abs(plain.objectives[-1]))
         assert accel.objectives[-1] <= plain.objectives[-1] + tol
 
+    @pytest.mark.parametrize("flows, periods, rank", [(4, 4, 4), (4, 4, 1), (5, 4, 2), (4, 3, 2)])
+    def test_rejects_init_that_does_not_fit(self, monkeypatch, flows, periods, rank):
+        # The problem is 4x4 at rho=2; a rank-4 init used to run and return a
+        # rank-4 X.
+        R, obs, corr, cfg = small_problem(22)
+        init = init_state(flows, periods, replace(cfg, rho=rank), seed=1)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("mm_step ran")
+        monkeypatch.setattr("trafficmaps.mm.mm_step", no_step)
+        with pytest.raises(ValueError, match="init must hold L 4x2, Q 4x2"):
+            mm_solve(obs, R, corr, cfg, init=init)
+
 
 def reference_mm_solve(obs, R, corr, cfg, seed):
     """The uncached MM loop: fresh prior solves in every gradient, and
