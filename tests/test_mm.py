@@ -348,8 +348,8 @@ class TestMmSolve:
 
     @pytest.mark.parametrize("flows, periods, rank", [(4, 4, 4), (4, 4, 1), (5, 4, 2), (4, 3, 2)])
     def test_rejects_init_that_does_not_fit(self, monkeypatch, flows, periods, rank):
-        # The problem is 4x4 at rho=2; a rank-4 init used to run and return a
-        # rank-4 X.
+        # The problem is 4x4 at rho=2; without the check a rank-4 init runs
+        # and returns a rank-4 X.
         R, obs, corr, cfg = small_problem(22)
         init = init_state(flows, periods, replace(cfg, rho=rank), seed=1)
 
