@@ -44,15 +44,12 @@ class AdmmConfig:
     lambda_1: float = 0.1
     lambda_y: float = 1.0
     lambda_z: float = 1.0
-    c: float = 1.0
     max_iters: int = 2000
     tol_primal: float | None = None
     tol_dual: float | None = None
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.c > 0:
-            raise ValueError("penalty coefficient must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         for name in ("lam", "tol_primal", "tol_dual"):
@@ -204,8 +201,9 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, lams) -> list:
     their l1 weight.
 
     Problem i minimizes ||X||_* + lams[i]*||A||_1 subject to Y = R(O + B),
-    Pi(Z) = Pi(O + B), O = X and B = A.  The data-constraint multipliers
-    start at c*Y and c*Z and absorb each residual as soon as it is measured.
+    Pi(Z) = Pi(O + B), O = X and B = A, with ADMM penalty 1; the penalty
+    moves only the path to the optimum.  The data-constraint multipliers
+    start at Y and Z and absorb each residual as soon as it is measured.
     The problems share one ColumnSolves, and every operation acts on each
     problem alone, so a problem gets the same bytes in any stack.  A problem
     leaves the stack, its result copied out, when it converges or its
@@ -213,39 +211,36 @@ def _split(obs: Observations, R: np.ndarray, cfg: AdmmConfig, lams) -> list:
     or the DivergenceError that ended it.
     """
     Y, Z, mask = obs.link_counts, obs.flow_counts, obs.mask.mask
-    c = cfg.c
     tol_primal, tol_dual = cfg.resolved_tols(Y)
     handles = ColumnSolves(R, mask)
-    tau = np.reshape(lams, (-1, 1, 1)) / c
+    tau = np.reshape(lams, (-1, 1, 1))
     live = list(range(len(tau)))  # the weight index of each problem in the stack
     results: list = [None] * len(tau)
     hists: list = [{} for _ in live]
-    X, A, B, O, M_a, M_x, M_z = (np.zeros((len(tau),) + mask.shape) for _ in range(7))
-    M_y = np.zeros((len(tau),) + Y.shape)
-    M_y += c * Y
-    M_z += c * Z
+    X, A, B, O, M_a, M_x = (np.zeros((len(tau),) + mask.shape) for _ in range(6))
+    M_y, M_z = np.zeros((len(tau),) + Y.shape) + Y, np.zeros((len(tau),) + Z.shape) + Z
     for k in range(cfg.max_iters):
-        M_a += c * (B - A)
-        M_x += c * (O - X)
+        M_a += B - A
+        M_x += O - X
 
         # With G = I + Pi + R'R, the O update G^{-1}(V - (Pi + R'R) B) equals
         # G^{-1}(V + B) - B, so no data-fit product is formed; B likewise.
-        data_y, data_z = R.T @ (Y + M_y / c), Z + M_z / c
-        A_next = soft_threshold(B + M_a / c, tau)
+        data_y, data_z = R.T @ (Y + M_y), Z + M_z
+        A_next = soft_threshold(B + M_a, tau)
         step_a, A = _norms(A_next - A), A_next
-        O = handles.apply((c * X - M_x) / c + data_y + data_z + B) - B
+        O = handles.apply(X - M_x + data_y + data_z + B) - B
         diverged = _non_finite(O)
         if diverged.any():
             O[diverged] = 0.0  # keeps the SVD defined; these problems leave after this sweep
-        X_next = svt(O + M_x / c, 1.0 / c)
+        X_next = svt(O + M_x, 1.0)
         step_x, X = _norms(X_next - X), X_next
         diverged |= _non_finite(X)
-        B = handles.apply((c * A - M_a) / c + data_y + data_z + O) - O
+        B = handles.apply(A - M_a + data_y + data_z + O) - O
 
         r_y = Y - R @ (O + B)
         r_z = np.where(mask, Z - (O + B), 0.0)
-        M_y += c * r_y
-        M_z += c * r_z
+        M_y += r_y
+        M_z += r_z
         residuals = {"r_y": _norms(r_y), "r_z": _norms(r_z),
                      "r_ba": _norms(B - A), "r_ox": _norms(O - X)}
         del r_y, r_z  # not held through the next sweep, which sets the peak memory
@@ -287,7 +282,7 @@ def _single(results: list):
 def admm_solve_p2_path(obs: Observations, routing, cfg: AdmmConfig, lams) -> list:
     """p2 at every l1 weight of `lams`, solved as one stack (see `_split`).
 
-    The weights share cfg's penalty, iteration limit and tolerances; cfg.lam
+    The weights share cfg's iteration limit and tolerances; cfg.lam
     is not read.  Returns, per weight in order, (X_hat, A_hat, report) or the
     DivergenceError of a weight whose iterates turned non-finite.
     """

@@ -13,7 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import _frozen_array
 from .synth import BurstParams
+
+
+def _check_symmetric(M: np.ndarray, name: str) -> None:
+    """Reject M unless it is symmetric to within 1e-9 of its largest entry
+    (or of 1, if that is larger)."""
+    scale = max(1.0, np.abs(M).max(initial=0.0))
+    if np.abs(M - M.T).max(initial=0.0) > 1e-9 * scale:
+        raise ValueError(f"{name} must be symmetric")
 
 
 def condition_pd(M: np.ndarray, floor: float = 1e-6) -> np.ndarray:
@@ -25,9 +34,7 @@ def condition_pd(M: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("input must be square")
-    scale = max(1.0, np.abs(M).max(initial=0.0))
-    if np.abs(M - M.T).max(initial=0.0) > 1e-9 * scale:
-        raise ValueError("input must be symmetric")
+    _check_symmetric(M, "input")
     sym = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(sym)
     lam_max = w[-1]
@@ -120,21 +127,12 @@ class CorrelationSet:
     inv_norm_RC: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        R_L = np.ascontiguousarray(np.asarray(self.R_L, dtype=np.float64))
-        R_Q = np.ascontiguousarray(np.asarray(self.R_Q, dtype=np.float64))
-        blocks = tuple(
-            (
-                np.ascontiguousarray(np.asarray(rb, dtype=np.float64)),
-                np.ascontiguousarray(np.asarray(rc, dtype=np.float64)),
-            )
-            for rb, rc in self.anomaly_blocks
-        )
+        R_L, R_Q = _frozen_array(self.R_L), _frozen_array(self.R_Q)
+        blocks = tuple((_frozen_array(rb), _frozen_array(rc)) for rb, rc in self.anomaly_blocks)
         for name, M in (("R_L", R_L), ("R_Q", R_Q)):
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square")
-            scale = max(1.0, np.abs(M).max(initial=0.0))
-            if np.abs(M - M.T).max(initial=0.0) > 1e-9 * scale:
-                raise ValueError(f"{name} must be symmetric")
+            _check_symmetric(M, name)
         T = R_Q.shape[0]
         if len(blocks) != R_L.shape[0]:
             raise ValueError("need one anomaly block pair per flow")
@@ -146,11 +144,6 @@ class CorrelationSet:
             raise ValueError(f"traces must match: tr(R_L)={tl:.6g}, tr(R_Q)={tq:.6g}")
         if np.linalg.eigvalsh(R_L)[0] <= 0 or np.linalg.eigvalsh(R_Q)[0] <= 0:
             raise ValueError("R_L and R_Q must be positive definite")
-        for M in (R_L, R_Q):
-            M.setflags(write=False)
-        for rb, rc in blocks:
-            rb.setflags(write=False)
-            rc.setflags(write=False)
         inv_RL, inv_RQ = _pd_inverse(R_L), _pd_inverse(R_Q)
         groups = {"b": _prior_groups([rb for rb, _ in blocks]),
                   "c": _prior_groups([rc for _, rc in blocks])}
@@ -222,14 +215,11 @@ class TrainingData:
     days: int
 
     def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.traffic_history, dtype=np.float64))
-        A = np.ascontiguousarray(np.asarray(self.anomaly_history, dtype=np.float64))
+        X, A = _frozen_array(self.traffic_history), _frozen_array(self.anomaly_history)
         if X.shape != A.shape:
             raise ValueError("traffic and anomaly histories must share dimensions")
         if X.shape[1] != self.period * self.days:
             raise ValueError("history column count must equal days * period")
-        X.setflags(write=False)
-        A.setflags(write=False)
         object.__setattr__(self, "traffic_history", X)
         object.__setattr__(self, "anomaly_history", A)
 
@@ -245,9 +235,7 @@ def corr_from_moments(EXXt: np.ndarray, EXtX: np.ndarray, EnormX2: float, rho: i
     if EnormX2 <= 0:
         raise ValueError("E||X||^2 must be positive")
     for name, M in (("E[XX']", EXXt), ("E[X'X]", EXtX)):
-        scale = max(1.0, np.abs(M).max(initial=0.0))
-        if np.abs(M - M.T).max(initial=0.0) > 1e-9 * scale:
-            raise ValueError(f"{name} must be symmetric")
+        _check_symmetric(M, name)
     denom = np.sqrt(EnormX2)
     R_L = condition_pd(rho * EXXt / denom)
     R_Q = condition_pd(rho * EXtX / denom)

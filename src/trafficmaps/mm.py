@@ -30,7 +30,8 @@ _BLOCKS = ("L", "Q", "B", "C")
 class FactorState:
     """Factors of the bilinear model: X = L Q', A = B . C.
 
-    The solver also keeps a state's per-block prior solves in this form.
+    The solver also keeps a state's per-block prior solves in this form.  The
+    blocks are held as given; `mm_solve` converts an outside `init`.
     """
 
     L: np.ndarray
@@ -39,10 +40,6 @@ class FactorState:
     C: np.ndarray
 
     def __post_init__(self):
-        for name in _BLOCKS:
-            arr = np.ascontiguousarray(np.asarray(getattr(self, name), dtype=np.float64))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         if self.L.shape[1] != self.Q.shape[1] or self.L.shape[1] < 1:
             raise ValueError("L and Q must share a factor rank >= 1")
         if self.B.shape != self.C.shape or self.B.shape != (self.L.shape[0], self.Q.shape[0]):
@@ -85,23 +82,22 @@ class MmConfig:
             raise ValueError("max_iters must be positive")
 
 
-def power_norm_sym(apply_fn, dim: int) -> float:
-    """Largest eigenvalue of a symmetric PSD operator on R^dim, exactly.
+def power_norm_sym(G: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix G (a rho-by-rho or F-by-F
+    Gram matrix here), exactly, from `eigvalsh`; 0 for an empty G.
 
-    The operator is applied to the identity to form its dim-by-dim matrix (a
-    rho-by-rho or F-by-F Gram matrix here), whose top eigenvalue `eigvalsh`
-    returns.  The name dates from the power iteration this replaced; the
-    benchmark's span table (perfbench/spans.py) looks it up by that name.
+    The name dates from the power iteration this replaced; the benchmark's
+    span table (perfbench/spans.py) looks it up by that name.
     """
-    if dim == 0:
+    if len(G) == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(apply_fn(np.eye(dim)))[-1])
+    return float(np.linalg.eigvalsh(G)[-1])
 
 
 def gram_spectral_norm(routing) -> float:
     """sigma_max(R'R), exactly."""
     R = routing_entries(routing)
-    return power_norm_sym(lambda v: R.T @ (R @ v), R.shape[1])
+    return power_norm_sym(R.T @ R)
 
 
 def residuals(state: FactorState, obs: Observations, routing):
@@ -182,12 +178,10 @@ def step_bound(block: str, state: FactorState, routing, corr: CorrelationSet,
         gram_norm = gram_spectral_norm(routing)
     data_scale = gram_norm + 1.0
     if block == "L":
-        Q = state.Q
-        bound = data_scale * power_norm_sym(lambda v: Q.T @ (Q @ v), Q.shape[1])
+        bound = data_scale * power_norm_sym(state.Q.T @ state.Q)
         bound += cfg.lambda_star * corr.inv_norm_RL
     elif block == "Q":
-        L = state.L
-        bound = data_scale * power_norm_sym(lambda v: L.T @ (L @ v), L.shape[1])
+        bound = data_scale * power_norm_sym(state.L.T @ state.L)
         bound += cfg.lambda_star * corr.inv_norm_RQ
     elif block == "B":
         bound = data_scale * float(np.max(state.C**2, initial=0.0))
@@ -245,12 +239,8 @@ def init_state(flows: int, periods: int, cfg: MmConfig, seed: int = 0) -> Factor
 
 
 def _extrapolate(state: FactorState, prev: FactorState, w: float) -> FactorState:
-    return FactorState(
-        L=state.L + w * (state.L - prev.L),
-        Q=state.Q + w * (state.Q - prev.Q),
-        B=state.B + w * (state.B - prev.B),
-        C=state.C + w * (state.C - prev.C),
-    )
+    return FactorState(**{b: getattr(state, b) + w * (getattr(state, b) - getattr(prev, b))
+                          for b in _BLOCKS})
 
 
 def mm_solve(obs: Observations, routing, corr: CorrelationSet,
@@ -263,14 +253,17 @@ def mm_solve(obs: Observations, routing, corr: CorrelationSet,
     and restarted whenever the objective would increase.  The prior solves of
     the current and previous states are carried along, so the solver makes
     4 + 4 * (iterations + restarts) prior solves in all.  An `init` must hold
-    an F-by-rho L, a T-by-rho Q and F-by-T B and C.
+    an F-by-rho L, a T-by-rho Q and F-by-T B and C; it is read as C-contiguous
+    float64 arrays.
     """
     cfg = cfg or MmConfig()
     F, T = obs.flow_counts.shape
-    if init is not None and (init.L.shape, init.Q.shape, init.B.shape) != (
-            (F, cfg.rho), (T, cfg.rho), (F, T)):
-        raise ValueError(f"init must hold L {F}x{cfg.rho}, Q {T}x{cfg.rho} and B, C "
-                         f"{F}x{T}; got L {init.L.shape}, Q {init.Q.shape}, B {init.B.shape}")
+    if init is not None:
+        if (init.L.shape, init.Q.shape, init.B.shape) != ((F, cfg.rho), (T, cfg.rho), (F, T)):
+            raise ValueError(f"init must hold L {F}x{cfg.rho}, Q {T}x{cfg.rho} and B, C "
+                             f"{F}x{T}; got L {init.L.shape}, Q {init.Q.shape}, B {init.B.shape}")
+        init = FactorState(**{b: np.ascontiguousarray(getattr(init, b), dtype=np.float64)
+                              for b in _BLOCKS})
     gram_norm = gram_spectral_norm(routing)
     state = init if init is not None else init_state(F, T, cfg, seed)
     solves = prior_solves(state, corr)

@@ -105,7 +105,6 @@ CONFIG_KEYS = {
     "solver.lambda_1": (float, 0.05, "l1 / anomaly-factor weight"),
     "solver.lambda_y": (float, 1.0, "link-outlier weight (p6)"),
     "solver.lambda_z": (float, 1.0, "flow-outlier weight (p6)"),
-    "solver.c": (float, 1.0, "ADMM penalty coefficient (p2)"),
     "solver.max_iters": (int, 2000, "iteration cap of p1, p2 and p6"),
     "solver.tol_primal": (float, None, "p2 constraint-residual tolerance (default "
                           "1e-6*(1+||Y||_F)); p1/p6 stop once their prox-gradient "
@@ -370,6 +369,15 @@ def write_runrecord(path: str, cfg: ExperimentConfig, seed: int, metrics: dict,
 # ---------------------------------------------------------------------------
 # Commands
 
+def _require_positive(cfg: ExperimentConfig, *keys: str) -> None:
+    """Reject each key whose value is not a positive finite number (NaN fails)."""
+    for key in keys:
+        value = cfg.get(key)
+        if not 0 < value < np.inf:
+            bound = "at least 1" if isinstance(value, int) else "positive and finite"
+            raise ConfigError(f"{key} must be {bound}, got {value}")
+
+
 def cmd_synth(cfg: ExperimentConfig, out_dir: str) -> dict:
     seed = cfg.get("seed")
     scenario = build_scenario(cfg, seed)
@@ -384,7 +392,6 @@ def _admm_config(cfg: ExperimentConfig) -> AdmmConfig:
         lambda_1=cfg.get("solver.lambda_1"),
         lambda_y=cfg.get("solver.lambda_y"),
         lambda_z=cfg.get("solver.lambda_z"),
-        c=cfg.get("solver.c"),
         max_iters=cfg.get("solver.max_iters"),
         tol_primal=cfg.get("solver.tol_primal"),
         tol_dual=cfg.get("solver.tol_dual"),
@@ -531,6 +538,7 @@ def phase_error_to_gray(err: np.ndarray) -> np.ndarray:
 
 
 def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.ndarray:
+    _require_positive(cfg, "phase.seeds", "phase.lam_grid", "phase.lam_lo", "phase.lam_hi")
     ranks = cfg.get_list("phase.ranks", int)
     counts = cfg.get_list("phase.sparsity_counts", int)
     if not ranks or not counts:
@@ -588,6 +596,7 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
     pis = sorted(cfg.get_list("netflow.pis", float))
     if not pis:
         raise ConfigError("netflow.pis must be non-empty")
+    _require_positive(cfg, "netflow.seeds")
     n_seeds = cfg.get("netflow.seeds")
     seed = cfg.get("seed")
     start = time.perf_counter()
@@ -674,6 +683,7 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     seed = cfg.get("seed")
     if cfg.get("burst.days") < 2:
         raise ConfigError("burst.days must be at least 2")
+    _require_positive(cfg, "burst.n_anomalous")
     if cfg.get("burst.n_anomalous") > cfg.get("synth.flows"):
         raise ConfigError(f"burst.n_anomalous must be at most synth.flows = "
                           f"{cfg.get('synth.flows')}, got {cfg.get('burst.n_anomalous')}")

@@ -678,20 +678,28 @@ class TestCliPlumbing:
     @pytest.mark.parametrize("command, setting", [
         ("synth", "synth.rank=20"),
         ("phase-grid", "phase.sparsity_counts=150"),
+        ("phase-grid", "phase.seeds=0"),
+        ("phase-grid", "phase.lam_grid=0"),
+        ("phase-grid", "phase.lam_grid=-1"),
+        ("phase-grid", "phase.lam_lo=0"),
+        ("phase-grid", "phase.lam_lo=-1"),
+        ("phase-grid", "phase.lam_hi=nan"),
         ("netflow-sweep", "netflow.pis=0.5,1.5"),
+        ("netflow-sweep", "netflow.seeds=0"),
         ("burst-compare", "burst.n_anomalous=20"),
+        ("burst-compare", "burst.n_anomalous=0"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, command, setting):
-        cfg = write_cfg(tmp_path / "cfg.txt", (
-            "synth.flows=10\nsynth.periods=10\nphase.ranks=1\nphase.lam_grid=1\n"
-            "netflow.seeds=1\nburst.days=2\nsolver.max_iters=20\n"
-            "solver.mm_max_iters=20\n" + setting + "\n"))
+        key, value = setting.split("=")
+        settings = {"synth.flows": "10", "synth.periods": "10", "phase.ranks": "1",
+                    "phase.sparsity_counts": "2", "phase.lam_grid": "1", "netflow.seeds": "1",
+                    "burst.days": "2", "solver.max_iters": "20", "solver.mm_max_iters": "20",
+                    key: value}
+        cfg = write_cfg(tmp_path / "cfg.txt", "".join(f"{k}={v}\n" for k, v in settings.items()))
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         # the commands check these keys themselves; the generators reject the others
-        key = setting.split("=")[0]
-        message = key if key in ("phase.sparsity_counts", "burst.n_anomalous") else (
-            "invalid scenario parameters")
+        message = "invalid scenario parameters" if key in ("synth.rank", "netflow.pis") else key
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
     def test_missing_scenario_config_is_config_error(self, tmp_path):
@@ -700,7 +708,7 @@ class TestCliPlumbing:
     @pytest.mark.parametrize("command, setting, message", [
         ("solve", "solver.lam=-1", "invalid solver settings"),
         ("solve", "solver.kind=p5\nsolver.rho=0", "invalid solver settings"),
-        ("phase-grid", "solver.c=0", "invalid solver settings"),
+        ("phase-grid", "solver.tol_primal=0", "invalid solver settings"),
         ("burst-compare", "solver.lam=-1", "invalid solver settings"),
         ("burst-compare", "solver.step_safety=0.5", "invalid solver settings"),
         ("diagnose", "diagnose.lam=-1", "diagnose.lam must be positive"),
@@ -711,7 +719,7 @@ class TestCliPlumbing:
         ("solve", "solver.kind=p5\nsolver.lambda_star=nan", "invalid solver settings"),
         ("solve", "solver.kind=p5\nsolver.step_safety=nan", "invalid solver settings"),
         ("solve", "solver.kind=p5\nsolver.tol=nan", "invalid solver settings"),
-        ("phase-grid", "solver.c=nan", "invalid solver settings"),
+        ("phase-grid", "solver.tol_dual=nan", "invalid solver settings"),
     ])
     def test_invalid_solver_setting_exits_2(self, tmp_path, capsys, command, setting, message):
         scn = tmp_path / "scn"

@@ -27,6 +27,9 @@ from trafficmaps.pipelines import ExperimentConfig, build_scenario
 from trafficmaps.synth import observe
 
 
+BLOCKS = ("L", "Q", "B", "C")
+
+
 def random_corr(F, T, seed):
     rng = np.random.default_rng(seed)
     G1 = rng.standard_normal((F, F))
@@ -84,6 +87,19 @@ def slow_p5(state, obs, R, corr, cfg):
             + state.C[f] @ np.linalg.solve(Rc, state.C[f])
         )
     return fit + reg
+
+
+class TestFactorState:
+    @pytest.mark.parametrize("shapes, message", [
+        (((4, 2), (4, 3), (4, 4), (4, 4)), "share a factor rank"),
+        (((4, 0), (4, 0), (4, 4), (4, 4)), "share a factor rank"),
+        (((4, 2), (4, 2), (4, 3), (4, 3)), "flows-by-periods"),
+        (((4, 2), (4, 2), (4, 4), (4, 3)), "flows-by-periods"),
+        (((4, 2), (3, 2), (4, 4), (4, 4)), "flows-by-periods"),
+    ])
+    def test_rejects_inconsistent_blocks(self, shapes, message):
+        with pytest.raises(ValueError, match=message):
+            FactorState(*(np.zeros(shape) for shape in shapes))
 
 
 class TestObjective:
@@ -171,7 +187,7 @@ class TestStepBound:
         V, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
         M = (V * np.array([1.0, 0.999, 0.5, 0.2, 0.1])) @ V.T
         top = np.linalg.eigvalsh(M)[-1]
-        assert power_norm_sym(lambda v: M @ v, 5) == pytest.approx(top, rel=1e-12)
+        assert power_norm_sym(M) == pytest.approx(top, rel=1e-12)
 
     def test_trivial_case(self):
         cfg = MmConfig(rho=2, lambda_star=1.0, lambda_1=1.0, step_safety=1.25)
@@ -358,6 +374,24 @@ class TestMmSolve:
         monkeypatch.setattr("trafficmaps.mm.mm_step", no_step)
         with pytest.raises(ValueError, match="init must hold L 4x2, Q 4x2"):
             mm_solve(obs, R, corr, cfg, init=init)
+
+    @pytest.mark.parametrize("layout", ["fortran", "integer"])
+    def test_init_is_read_as_c_contiguous_float64(self, layout):
+        # At this size a Fortran-ordered B changes the summation order of the
+        # objective's prior terms, so an unconverted init moves its bits.
+        R, obs, corr, cfg = small_problem(23, F=12, T=10, L=8)
+        cfg = replace(cfg, max_iters=50, tol=0.0, accelerate=True)
+        state = init_state(12, 10, cfg, seed=2)
+        if layout == "fortran":
+            init = FactorState(**{b: np.asfortranarray(getattr(state, b)) for b in BLOCKS})
+        else:
+            init = FactorState(**{b: np.round(3 * getattr(state, b)).astype(np.int64)
+                                  for b in BLOCKS})
+        copy = FactorState(**{b: np.ascontiguousarray(getattr(init, b), dtype=np.float64)
+                              for b in BLOCKS})
+        _, _, rep = mm_solve(obs, R, corr, cfg, init=init)
+        _, _, ref = mm_solve(obs, R, corr, cfg, init=copy)
+        assert rep.objectives == ref.objectives
 
 
 def reference_mm_solve(obs, R, corr, cfg, seed):

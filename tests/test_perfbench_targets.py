@@ -6,12 +6,14 @@ metric reads 0 on working code."""
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
 
 
 def load_spans():
@@ -116,3 +118,11 @@ def test_traced_diagnose_opens_one_unnested_span_per_basis(tmp_path, monkeypatch
     assert {path for path, _ in built} == set(paths)
     assert not [s for s in basis if any(a.name == "basis" for a in tracer.ancestors(s))]
     assert [s.extras["bytes"] for s in basis] == [nbytes for _, nbytes in built]
+
+
+def test_selftest_passes():
+    # The benchmark's correctness checks, run on small real outputs and on
+    # corrupted copies of them; about 7 s on a 2-CPU machine.
+    result = subprocess.run([sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr[-4000:]
