@@ -40,6 +40,7 @@ from .diagnostics import (
 )
 from .fileio import (
     ConfigError,
+    ParseError,
     read_manifest,
     read_mask,
     read_matrix,
@@ -78,8 +79,8 @@ from .synth import (
 
 # ---------------------------------------------------------------------------
 # Configuration registry: key -> (type, default, help).  Types: int, float,
-# str, bool; None default means "required by the command that uses it" or
-# "derived at run time".
+# str; None default means "required by the command that uses it" or "derived
+# at run time".
 
 CONFIG_KEYS = {
     "seed": (int, 0, "base random seed for the whole run"),
@@ -100,7 +101,8 @@ CONFIG_KEYS = {
     "synth.noise_link": (float, 0.0, "link-count noise std"),
     "synth.noise_flow": (float, 0.0, "flow-count noise std"),
     "solver.kind": (str, "p2", "estimator: p1|p2|p5|p6"),
-    "solver.lam": (float, None, "l1 weight of the constrained program (default 1/sqrt(max(F,T)))"),
+    "solver.lam": (float, None, "l1 weight of the constrained program p2 and of diagnose's "
+                   "dual certificate (default 1/sqrt(max(F,T)))"),
     "solver.lambda_star": (float, 0.1, "nuclear / factor weight"),
     "solver.lambda_1": (float, 0.05, "l1 / anomaly-factor weight"),
     "solver.lambda_y": (float, 1.0, "link-outlier weight (p6)"),
@@ -112,10 +114,7 @@ CONFIG_KEYS = {
     "solver.tol_dual": (float, None, "p2 iterate-change tolerance (same default)"),
     "solver.rho": (int, 3, "factor rank of the bilinear solver"),
     "solver.tol": (float, 1e-8, "relative objective-change stopping threshold (p5)"),
-    "solver.step_safety": (float, 1.1, "step-bound safety multiplier (p5)"),
-    "solver.accelerate": (bool, True, "extrapolated iterations with restarts (p5)"),
     "solver.mm_max_iters": (int, 5000, "bilinear solver iteration cap"),
-    "solver.mm_seed": (int, 0, "initialization seed of the bilinear solver"),
     "phase.ranks": (str, "1,2,4,7", "comma-separated rank grid"),
     "phase.sparsity_counts": (str, "18,36,72,144", "comma-separated anomaly-count grid"),
     "phase.lam_grid": (int, 8, "number of lambda grid points"),
@@ -138,7 +137,6 @@ CONFIG_KEYS = {
     "burst.time_prob": (float, 0.1, "per-slot sampling rate on observed rows"),
     "burst.p5_lambda_star": (float, 0.01, "factor weight of the correlation-aware solver"),
     "burst.p5_lambda_1": (float, 0.01, "anomaly-factor weight of the correlation-aware solver"),
-    "diagnose.lam": (float, None, "lambda for the dual certificate (default 1/sqrt(max(F,T)))"),
 }
 
 
@@ -168,12 +166,6 @@ class ExperimentConfig:
         if isinstance(raw, kind):
             return raw
         try:
-            if kind is bool:
-                if str(raw).lower() in ("1", "true", "yes", "on"):
-                    return True
-                if str(raw).lower() in ("0", "false", "no", "off"):
-                    return False
-                raise ValueError(f"not a boolean: {raw!r}")
             return kind(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key}: {exc}") from None
@@ -317,29 +309,38 @@ def write_scenario(out_dir: str, scenario: Scenario, cfg: ExperimentConfig, seed
 
 
 def load_scenario(scenario_dir: str) -> tuple[RoutingMatrix, Observations, TrafficMatrices | None, dict]:
+    """Read a scenario directory; a missing manifest entry or files whose
+    shapes disagree raise ParseError naming the directory."""
     def path(name):
         return os.path.join(scenario_dir, SCENARIO_FILES[name])
 
     manifest = read_manifest(os.path.join(scenario_dir, MANIFEST_FILE))
+    missing = [key for key in ("nodes", "od_pairs") if key not in manifest]
+    if missing:
+        raise ParseError(f"{scenario_dir}: {MANIFEST_FILE} has no {' or '.join(missing)} entry")
     entries = read_matrix(path("routing"))
     links_arr = read_matrix(path("topology"))
-    links = tuple((int(a), int(b)) for a, b in links_arr)
-    od_pairs = tuple(
-        (int(p.split(":")[0]), int(p.split(":")[1]))
-        for p in manifest["od_pairs"].split(";")
-    )
-    routing = RoutingMatrix(
-        entries=entries, od_pairs=od_pairs, links=links, node_count=int(manifest["nodes"])
-    )
-    mask = SamplingMask(read_mask(path("mask")))
-    obs = Observations(
-        link_counts=read_matrix(path("link_counts")),
-        flow_counts=read_matrix(path("flow_counts")),
-        mask=mask,
-    )
-    truth = None
+    mask = read_mask(path("mask"))
+    link_counts, flow_counts = read_matrix(path("link_counts")), read_matrix(path("flow_counts"))
+    truth_files = None
     if os.path.exists(path("nominal")) and os.path.exists(path("anomalies")):
-        truth = TrafficMatrices(read_matrix(path("nominal")), read_matrix(path("anomalies")))
+        truth_files = read_matrix(path("nominal")), read_matrix(path("anomalies"))
+    try:
+        routing = RoutingMatrix(
+            entries=entries,
+            od_pairs=tuple(tuple(p.split(":")) for p in manifest["od_pairs"].split(";")),
+            links=tuple(links_arr), node_count=int(manifest["nodes"]),
+        )
+        obs = Observations(link_counts=link_counts, flow_counts=flow_counts,
+                           mask=SamplingMask(mask))
+        if routing.shape != (obs.link_counts.shape[0], obs.shape[0]):
+            raise ValueError(f"routing is {routing.shape[0]}x{routing.shape[1]} but the counts "
+                             f"have {obs.link_counts.shape[0]} links and {obs.shape[0]} flows")
+        truth = None if truth_files is None else TrafficMatrices(*truth_files)
+        if truth is not None and truth.shape != obs.shape:
+            raise ValueError("the ground-truth and flow-count matrices differ in shape")
+    except ValueError as exc:
+        raise ParseError(f"{scenario_dir}: {exc}") from None
     return routing, obs, truth, manifest
 
 
@@ -406,8 +407,6 @@ def _mm_config(cfg: ExperimentConfig) -> MmConfig:
         lambda_1=cfg.get("solver.lambda_1"),
         max_iters=cfg.get("solver.mm_max_iters"),
         tol=cfg.get("solver.tol"),
-        step_safety=cfg.get("solver.step_safety"),
-        accelerate=cfg.get("solver.accelerate"),
     )
 
 
@@ -426,7 +425,7 @@ def run_solver(kind: str, obs: Observations, routing, cfg: ExperimentConfig,
     if kind == "p5":
         F, T = obs.flow_counts.shape
         corr = corr if corr is not None else CorrelationSet.identity(F, T)
-        X, A, report = mm_solve(obs, routing, corr, _mm_config(cfg), seed=cfg.get("solver.mm_seed"))
+        X, A, report = mm_solve(obs, routing, corr, _mm_config(cfg))
         return X, A, {}, report
     raise ConfigError(f"solver.kind must be one of p1|p2|p5|p6, got {kind!r}")
 
@@ -435,11 +434,16 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
     scenario_dir = cfg.get("io.scenario")
     if not scenario_dir:
         raise ConfigError("io.scenario must point at a scenario directory")
+    kind = cfg.get("solver.kind")
+    if cfg.get("io.link_mask") and kind != "p6":
+        raise ConfigError(f"io.link_mask applies to solver.kind=p6 only, got {kind}")
     routing, obs, truth, _ = load_scenario(scenario_dir)
     link_mask = None
     if cfg.get("io.link_mask"):
         link_mask = read_mask(cfg.get("io.link_mask"))
-    kind = cfg.get("solver.kind")
+        if link_mask.shape != obs.link_counts.shape:
+            raise ConfigError(f"io.link_mask must be links by periods, "
+                              f"{obs.link_counts.shape}, got {link_mask.shape}")
     start = time.perf_counter()
     X, A, extras, report = run_solver(kind, obs, routing, cfg, link_mask=link_mask)
     wall = time.perf_counter() - start
@@ -523,9 +527,11 @@ def _map_quietly(work, items, threads: int) -> list:
     """[work(item) for item in items] on `threads` worker threads (serially for
     1), with warnings ignored.  catch_warnings swaps process-wide state and is
     not thread-safe, so it is entered once here, in the calling thread."""
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if threads <= 1:
+        if threads == 1:
             return [work(item) for item in items]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(work, items))
@@ -696,7 +702,7 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
     corr = learn_burst_correlations(X_train, bp, T, p5_solver.rho)
 
     X1, A1, rep1 = admm_solve_p1(obs, routing, p1_solver)
-    X5, A5, rep5 = mm_solve(obs, routing, corr, p5_solver, seed=cfg.get("solver.mm_seed"))
+    X5, A5, rep5 = mm_solve(obs, routing, corr, p5_solver)
 
     e1 = relative_errors(TrafficMatrices(X1, A1), truth)
     e5 = relative_errors(TrafficMatrices(X5, A5), truth)
@@ -736,9 +742,7 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
-    lam = cfg.get("diagnose.lam")
-    if lam is not None and not lam > 0:
-        raise ConfigError(f"diagnose.lam must be positive, got {lam}")
+    lam = _admm_config(cfg).lam  # rejected before any work
     scenario_dir = cfg.get("io.scenario")
     if not scenario_dir:
         raise ConfigError("io.scenario must point at a scenario directory")

@@ -294,6 +294,8 @@ def observe(
     A0 = np.asarray(A0, dtype=np.float64)
     if X0.shape != A0.shape or X0.shape != mask.shape:
         raise ValueError("traffic matrices and mask dimensions differ")
+    if not (0 <= sigma_v < np.inf and 0 <= sigma_w < np.inf):  # NaN fails
+        raise ValueError(f"noise std must be nonnegative and finite, got {sigma_v} and {sigma_w}")
     rng = np.random.default_rng(seed)
     total = X0 + A0
     Y = apply_routing(routing, total)

@@ -158,7 +158,7 @@ def test_criterion_04_bilinear_convex_equivalence():
         rho = int(np.linalg.matrix_rank(X1, tol=1e-6)) + 2
         corr = CorrelationSet.identity(12, 12)
         cfgm = MmConfig(rho=rho, lambda_star=lam_s, lambda_1=lam_1,
-                        max_iters=40000, tol=1e-12, accelerate=True)
+                        max_iters=40000, tol=1e-12)
         _, _, repm = mm_solve(obs, routing, corr, cfgm, seed=seed)
         rel = abs(repm.objectives[-1] - rep1.objective) / abs(rep1.objective)
         worst = max(worst, rel)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,11 @@ import trafficmaps.diagnostics as diagnostics
 import trafficmaps.pipelines as pipelines
 from trafficmaps.admm import default_lambda
 from trafficmaps.cli import main
-from trafficmaps.fileio import read_manifest, read_matrix, read_pgm
+from trafficmaps.correlation import CorrelationSet
+from trafficmaps.fileio import (
+    read_manifest, read_mask, read_matrix, read_pgm, write_manifest, write_mask, write_matrix,
+)
+from trafficmaps.mm import MmConfig, mm_solve
 from trafficmaps.model import DivergenceError
 from trafficmaps.pipelines import (
     ExperimentConfig,
@@ -140,7 +145,7 @@ class TestSolveCommand:
         cfg5 = write_cfg(
             tmp_path / "p5.txt",
             common + "solver.kind=p5\nsolver.rho=4\nsolver.mm_max_iters=30000\n"
-            "solver.tol=1e-12\nsolver.accelerate=true\n",
+            "solver.tol=1e-12\n",
         )
         out5 = tmp_path / "sol5"
         assert main(["solve", "--config", cfg5, "--out", str(out5)]) == 0
@@ -207,6 +212,83 @@ class TestSolveCommand:
     def test_unknown_config_key_exits_2(self, tmp_path, scenario_dir):
         cfg = write_cfg(tmp_path / "bad.txt", "definitely.not.a.key=1\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("setting", [
+        "solver.step_safety=1.1", "solver.accelerate=true", "solver.mm_seed=0", "diagnose.lam=0.3",
+    ])
+    def test_removed_key_exits_2(self, tmp_path, scenario_dir, capsys, setting):
+        cfg = write_cfg(tmp_path / "old.txt", f"io.scenario={scenario_dir}\n{setting}\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown config keys: {key}"]
+
+    def test_library_p5_runs_the_cli_loop(self, tmp_path, scenario_dir):
+        # An MmConfig that sets only the CLI's rank, weights and stopping rule
+        # gives the CLI's p5 bytes: there is no loop setting left to differ.
+        cfg = write_cfg(tmp_path / "p5.txt", (
+            f"io.scenario={scenario_dir}\nsolver.kind=p5\nsolver.rho=3\n"
+            "solver.lambda_star=0.1\nsolver.lambda_1=0.05\nsolver.mm_max_iters=200\n"
+            "solver.tol=1e-8\n"))
+        cli = tmp_path / "cli"
+        assert main(["solve", "--config", cfg, "--out", str(cli)]) == 0
+        routing, obs, _, _ = load_scenario(str(scenario_dir))
+        X, A, _ = mm_solve(obs, routing, CorrelationSet.identity(*obs.shape),
+                           MmConfig(rho=3, lambda_star=0.1, lambda_1=0.05, max_iters=200, tol=1e-8))
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        write_matrix(lib / "X_hat.csv", X)
+        write_matrix(lib / "A_hat.csv", A)
+        for name in ("X_hat.csv", "A_hat.csv"):
+            assert (lib / name).read_bytes() == (cli / name).read_bytes(), name
+
+    @staticmethod
+    def _drop_od_pairs(scn):
+        manifest = read_manifest(scn / "manifest.txt")
+        del manifest["od_pairs"]
+        write_manifest(scn / "manifest.txt", manifest)
+
+    @staticmethod
+    def _narrow_mask(scn):
+        write_mask(scn / "mask.csv", read_mask(scn / "mask.csv")[:, :-1])
+
+    @staticmethod
+    def _short_routing(scn):
+        write_matrix(scn / "routing.csv", read_matrix(scn / "routing.csv")[:-1])
+
+    @staticmethod
+    def _short_truth(scn):
+        for name in ("nominal.csv", "anomalies.csv"):
+            write_matrix(scn / name, read_matrix(scn / name)[:-1])
+
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    @pytest.mark.parametrize("defect, message", [
+        ("_drop_od_pairs", "manifest.txt has no od_pairs entry"),
+        ("_narrow_mask", "flow counts and mask dimensions differ"),
+        ("_short_routing", "row count must match number of links"),
+        ("_short_truth", "the ground-truth and flow-count matrices differ in shape"),
+    ])
+    def test_inconsistent_scenario_is_parse_error(self, tmp_path, scenario_dir, capsys,
+                                                  command, defect, message):
+        getattr(self, defect)(scenario_dir)
+        cfg = write_cfg(tmp_path / "solve.txt", f"io.scenario={scenario_dir}\n")
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {scenario_dir}: {message}"]
+
+    @pytest.mark.parametrize("kind, extra_links", [("p6", 1), ("p2", 0)])
+    def test_link_mask_checked_before_solving(self, tmp_path, scenario_dir, capsys,
+                                              kind, extra_links):
+        # p6 reads a links-by-periods mask; the other solvers have no use for one.
+        L, T = read_matrix(scenario_dir / "link_counts.csv").shape
+        write_mask(tmp_path / "links.csv", np.ones((L + extra_links, T), dtype=bool))
+        cfg = write_cfg(tmp_path / "solve.txt", (
+            f"io.scenario={scenario_dir}\nsolver.kind={kind}\n"
+            f"io.link_mask={tmp_path / 'links.csv'}\n"))
+        out = tmp_path / "x"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: io.link_mask")
+        assert not out.exists()
 
     def test_runrecord_reproducible(self, tmp_path, scenario_dir):
         cfg = write_cfg(
@@ -593,6 +675,16 @@ class TestDiagnoseCommand:
         for key in ("theta", "cond_a_ok", "cond_b_ok", "c4_value", "c5_value"):
             assert (key in report) == identifiable
 
+    def test_certificate_at_solver_lam(self, tmp_path):
+        # solve and diagnose share one config, so one key sets the l1 weight
+        # of p2 and of its certificate.
+        cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH)
+        scn = tmp_path / "scn"
+        main(["synth", "--config", cfg, "--out", str(scn)])
+        dcfg = write_cfg(tmp_path / "d.txt", f"io.scenario={scn}\nsolver.lam=0.3\n")
+        assert main(["diagnose", "--config", dcfg, "--out", str(tmp_path / "diag")]) == 0
+        assert read_manifest(tmp_path / "diag" / "diagnose.txt")["certificate_lambda"] == "0.3"
+
     def test_size_guard_exit_code_with_partial_report(self, tmp_path):
         big = write_cfg(
             tmp_path / "big.txt",
@@ -688,6 +780,11 @@ class TestCliPlumbing:
         ("netflow-sweep", "netflow.seeds=0"),
         ("burst-compare", "burst.n_anomalous=20"),
         ("burst-compare", "burst.n_anomalous=0"),
+        ("synth", "synth.noise_link=-1"),
+        ("synth", "synth.noise_flow=nan"),
+        ("synth", "synth.noise_link=inf"),
+        ("phase-grid", "threads=0"),
+        ("netflow-sweep", "threads=-4"),
     ])
     def test_out_of_range_value_exits_2(self, tmp_path, capsys, command, setting):
         key, value = setting.split("=")
@@ -699,8 +796,19 @@ class TestCliPlumbing:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.splitlines()
         # the commands check these keys themselves; the generators reject the others
-        message = "invalid scenario parameters" if key in ("synth.rank", "netflow.pis") else key
+        generator_rejected = ("synth.rank", "netflow.pis", "synth.noise_link", "synth.noise_flow")
+        message = "invalid scenario parameters" if key in generator_rejected else key
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+    def test_readme_config_examples_use_known_keys(self):
+        # A key removed from the registry must leave no documented example behind.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), flags=re.S | re.M)
+        keys = [key for block in blocks
+                for key in re.findall(r"^([\w.]+)=\S*$", block, flags=re.M)]
+        assert len(keys) >= 10
+        assert sorted(set(keys) - set(pipelines.CONFIG_KEYS)) == []
 
     def test_missing_scenario_config_is_config_error(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path / "x")]) == 2
@@ -710,14 +818,14 @@ class TestCliPlumbing:
         ("solve", "solver.kind=p5\nsolver.rho=0", "invalid solver settings"),
         ("phase-grid", "solver.tol_primal=0", "invalid solver settings"),
         ("burst-compare", "solver.lam=-1", "invalid solver settings"),
-        ("burst-compare", "solver.step_safety=0.5", "invalid solver settings"),
-        ("diagnose", "diagnose.lam=-1", "diagnose.lam must be positive"),
+        ("burst-compare", "solver.tol=-1", "invalid solver settings"),
+        ("diagnose", "solver.lam=-1", "invalid solver settings"),
         # NaN passes a `v < 0` check; each of these ran to the cap or diverged
         ("solve", "solver.kind=p1\nsolver.lambda_star=nan", "invalid solver settings"),
         ("solve", "solver.kind=p1\nsolver.lambda_1=nan", "invalid solver settings"),
         ("solve", "solver.kind=p1\nsolver.tol_dual=nan", "invalid solver settings"),
         ("solve", "solver.kind=p5\nsolver.lambda_star=nan", "invalid solver settings"),
-        ("solve", "solver.kind=p5\nsolver.step_safety=nan", "invalid solver settings"),
+        ("solve", "solver.kind=p5\nsolver.lambda_1=nan", "invalid solver settings"),
         ("solve", "solver.kind=p5\nsolver.tol=nan", "invalid solver settings"),
         ("phase-grid", "solver.tol_dual=nan", "invalid solver settings"),
     ])
@@ -737,7 +845,7 @@ class TestCliPlumbing:
         if command == "diagnose":  # rejected before any work
             assert not out.exists()
 
-    @pytest.mark.parametrize("setting", ["solver.rho=0", "solver.step_safety=0.5"])
+    @pytest.mark.parametrize("setting", ["solver.rho=0", "solver.tol=-1"])
     def test_burst_compare_rejects_solver_settings_before_work(self, tmp_path, capsys,
                                                                monkeypatch, setting):
         def no_work(*args):

@@ -8,6 +8,7 @@ from scipy.linalg import toeplitz
 from trafficmaps.admm import AdmmConfig, admm_solve_p1
 from trafficmaps.correlation import CorrelationSet, condition_pd, equalize_traces
 from trafficmaps.mm import (
+    _STEP_MARGIN,
     FactorState,
     MmConfig,
     block_gradient,
@@ -190,12 +191,12 @@ class TestStepBound:
         assert power_norm_sym(M) == pytest.approx(top, rel=1e-12)
 
     def test_trivial_case(self):
-        cfg = MmConfig(rho=2, lambda_star=1.0, lambda_1=1.0, step_safety=1.25)
+        cfg = MmConfig(rho=2, lambda_star=1.0, lambda_1=1.0)
         corr = CorrelationSet.identity(3, 3)
         state = FactorState(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 3)))
         R = np.zeros((2, 3))
         mu = step_bound("L", state, R, corr, cfg)
-        assert mu == pytest.approx(1.25 * 1.0, rel=1e-9)
+        assert mu == pytest.approx(_STEP_MARGIN * 1.0, rel=1e-9)
 
     def _hessian_by_differences(self, block, state, obs, R, corr, cfg):
         arr = getattr(state, block)
@@ -338,29 +339,19 @@ class TestMmSolve:
         rho = int(np.linalg.matrix_rank(X1, tol=1e-6)) + 2
         corr = CorrelationSet.identity(12, 12)
         cfgm = MmConfig(rho=rho, lambda_star=lam_s, lambda_1=lam_1,
-                        max_iters=40000, tol=1e-12, accelerate=True)
+                        max_iters=40000, tol=1e-12)
         _, _, repm = mm_solve(obs, r, corr, cfgm, seed=3)
         assert repm.objectives[-1] == pytest.approx(rep1.objective, rel=1e-4)
 
     def test_multistart_objectives_agree(self):
         r, obs = equivalence_instance(2)
         corr = CorrelationSet.identity(12, 12)
-        cfg = MmConfig(rho=3, lambda_star=0.3, lambda_1=0.1, max_iters=20000,
-                       tol=1e-12, accelerate=True)
+        cfg = MmConfig(rho=3, lambda_star=0.3, lambda_1=0.1, max_iters=20000, tol=1e-12)
         finals = []
         for seed in (4, 5):
             _, _, rep = mm_solve(obs, r, corr, cfg, seed=seed)
             finals.append(rep.objectives[-1])
         assert abs(finals[0] - finals[1]) <= 0.05 * min(finals)
-
-    def test_acceleration_contract(self):
-        r, obs = equivalence_instance(3)
-        corr = CorrelationSet.identity(12, 12)
-        base = dict(rho=2, lambda_star=0.3, lambda_1=0.1, max_iters=1500, tol=1e-13)
-        _, _, plain = mm_solve(obs, r, corr, MmConfig(**base), seed=6)
-        _, _, accel = mm_solve(obs, r, corr, MmConfig(accelerate=True, **base), seed=6)
-        tol = 1e-6 * (1 + abs(plain.objectives[-1]))
-        assert accel.objectives[-1] <= plain.objectives[-1] + tol
 
     @pytest.mark.parametrize("flows, periods, rank", [(4, 4, 4), (4, 4, 1), (5, 4, 2), (4, 3, 2)])
     def test_rejects_init_that_does_not_fit(self, monkeypatch, flows, periods, rank):
@@ -380,7 +371,7 @@ class TestMmSolve:
         # At this size a Fortran-ordered B changes the summation order of the
         # objective's prior terms, so an unconverted init moves its bits.
         R, obs, corr, cfg = small_problem(23, F=12, T=10, L=8)
-        cfg = replace(cfg, max_iters=50, tol=0.0, accelerate=True)
+        cfg = replace(cfg, max_iters=50, tol=0.0)
         state = init_state(12, 10, cfg, seed=2)
         if layout == "fortran":
             init = FactorState(**{b: np.asfortranarray(getattr(state, b)) for b in BLOCKS})
@@ -412,7 +403,7 @@ def reference_mm_solve(obs, R, corr, cfg, seed):
     obj = p5_objective(state, obs, R, corr, cfg)
     objectives, prev, t_acc, restarts, converged = [obj], state, 1.0, 0, False
     for it in range(1, cfg.max_iters + 1):
-        if cfg.accelerate and it > 1:
+        if it > 1:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
             w = (t_acc - 1.0) / t_next
             trial = FactorState(**{b: getattr(state, b) + w * (getattr(state, b) - getattr(prev, b))
@@ -451,30 +442,27 @@ PRIORS = ("identity", "toeplitz", "toeplitz_at_floor")
 
 class TestCachedPriorSolves:
     @staticmethod
-    def _problem(prior, accelerate):
+    def _problem(prior):
         R, obs, corr, cfg = small_problem(20, F=6, T=5, L=4, identity_corr=prior == "identity")
         if prior == "toeplitz":
             corr = well_conditioned_toeplitz_corr(6, 5, 22)
-        return R, obs, corr, replace(cfg, max_iters=400, tol=1e-10, accelerate=accelerate)
+        return R, obs, corr, replace(cfg, max_iters=400, tol=1e-10)
 
-    @pytest.mark.parametrize("accelerate", (False, True))
     @pytest.mark.parametrize("prior", PRIORS)
-    def test_matches_uncached_reference_loop(self, prior, accelerate):
-        R, obs, corr, cfg = self._problem(prior, accelerate)
+    def test_matches_uncached_reference_loop(self, prior):
+        R, obs, corr, cfg = self._problem(prior)
         objs, iters, restarts, converged = reference_mm_solve(obs, R, corr, cfg, seed=3)
         _, _, rep = mm_solve(obs, R, corr, cfg, seed=3)
         assert (rep.iterations, rep.restarts, rep.converged) == (iters, restarts, converged)
         # An extrapolated point's solves are combined from cached ones, not
         # solved afresh.  random_corr's sign-flipped c row is clipped at the
         # condition_pd floor (condition number 1e6), which amplifies that
-        # rounding to about eps * 1e6 = 2e-10; without extrapolation the
-        # two loops compute the same bytes.
-        rtol = 1e-10 if prior == "toeplitz_at_floor" and accelerate else 1e-12
+        # rounding to about eps * 1e6 = 2e-10.
+        rtol = 1e-10 if prior == "toeplitz_at_floor" else 1e-12
         np.testing.assert_allclose(rep.objectives, objs, rtol=rtol, atol=0.0)
 
-    @pytest.mark.parametrize("accelerate", (False, True))
-    def test_four_prior_solves_per_sweep(self, monkeypatch, accelerate):
-        R, obs, corr, cfg = self._problem("toeplitz", accelerate)
+    def test_four_prior_solves_per_sweep(self, monkeypatch):
+        R, obs, corr, cfg = self._problem("toeplitz")
         calls = []
         for name in ("solve_RL", "solve_RQ", "solve_RB", "solve_RC"):
             def counted(self, M, _solve=getattr(CorrelationSet, name), _name=name):
@@ -482,8 +470,7 @@ class TestCachedPriorSolves:
                 return _solve(self, M)
             monkeypatch.setattr(CorrelationSet, name, counted)
         _, _, rep = mm_solve(obs, R, corr, cfg, seed=3)
-        if accelerate:
-            assert rep.restarts > 0
+        assert rep.restarts > 0
         assert len(calls) == 4 + 4 * rep.iterations + 4 * rep.restarts
 
     def test_non_finite_block_raises_divergence(self):
@@ -500,7 +487,3 @@ class TestConfig:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError):
             MmConfig(rho=0)
-
-    def test_rejects_bad_safety(self):
-        with pytest.raises(ValueError):
-            MmConfig(step_safety=0.5)
