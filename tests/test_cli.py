@@ -828,6 +828,8 @@ class TestCliPlumbing:
         ("solve", "solver.kind=p5\nsolver.lambda_1=nan", "invalid solver settings"),
         ("solve", "solver.kind=p5\nsolver.tol=nan", "invalid solver settings"),
         ("phase-grid", "solver.tol_dual=nan", "invalid solver settings"),
+        # the removed step-safety setting is refused, not silently ignored
+        ("solve", "solver.kind=p5\nsolver.step_safety=nan", "unknown config keys: solver.step_safety"),
     ])
     def test_invalid_solver_setting_exits_2(self, tmp_path, capsys, command, setting, message):
         scn = tmp_path / "scn"
