@@ -10,25 +10,39 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__
+from . import __version__, pipelines
 from .diagnostics import SizeGuardError
 from .fileio import ConfigError, ParseError, parse_config
 from .model import DegenerateTruthError, DivergenceError
-from .pipelines import (
-    ExperimentConfig,
-    cmd_burst_compare,
-    cmd_diagnose,
-    cmd_netflow_sweep,
-    cmd_phase_grid,
-    cmd_solve,
-    cmd_synth,
-    config_help,
-)
+from .pipelines import CONFIG_KEYS, ExperimentConfig, config_help
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_SIZE_GUARD = 4
+
+# Each flag sets the config key named by its dest.
+FLAGS = {
+    "--seed": {"dest": "seed", "type": int, "help": "override the base seed"},
+    "--solver": {"dest": "solver.kind", "choices": ("p1", "p2", "p5", "p6"),
+                 "help": "override solver.kind"},
+    "--threads": {"dest": "threads", "type": int, "help": "worker threads for grids/sweeps"},
+}
+
+# subcommand -> (the pipelines function that runs it, help text, the flags
+# whose config keys it reads).  The function is looked up by name on each
+# run, so a wrapper set on the pipelines module (say, a tracer) is the one called.
+COMMANDS = {
+    "synth": ("cmd_synth", "generate a synthetic scenario directory", ("--seed",)),
+    "solve": ("cmd_solve", "run one estimator on a scenario directory", ("--solver",)),
+    "phase-grid": ("cmd_phase_grid", "rank/sparsity phase-transition grid (CSV + PGM)",
+                   ("--seed", "--threads")),
+    "netflow-sweep": ("cmd_netflow_sweep", "estimation error versus flow-sampling rate",
+                      ("--seed", "--solver", "--threads")),
+    "burst-compare": ("cmd_burst_compare",
+                      "correlation-aware versus plain estimation under bursts", ("--seed",)),
+    "diagnose": ("cmd_diagnose", "incoherence measures, lambda range, and dual certificate", ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,52 +54,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "synth": "generate a synthetic scenario directory",
-        "solve": "run one estimator on a scenario directory",
-        "phase-grid": "rank/sparsity phase-transition grid (CSV + PGM)",
-        "netflow-sweep": "estimation error versus flow-sampling rate",
-        "burst-compare": "correlation-aware versus plain estimation under bursts",
-        "diagnose": "incoherence measures, lambda range, and dual certificate",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--seed", type=int, help="override the base seed")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--solver", choices=("p1", "p2", "p5", "p6"),
-                       help="override solver.kind")
-        p.add_argument("--threads", type=int, help="worker threads for grids/sweeps")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def load_config(args) -> ExperimentConfig:
+    """The config file's values with the command's flags set over them."""
     values = parse_config(args.config) if args.config else {}
-    cfg = ExperimentConfig(values)
-    cfg.override("seed", args.seed)
-    cfg.override("solver.kind", args.solver)
-    cfg.override("threads", args.threads)
-    return cfg
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None}
+    return ExperimentConfig({**values, **flags})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        threads = cfg.get("threads")
-        if args.command == "synth":
-            cmd_synth(cfg, args.out)
-        elif args.command == "solve":
-            cmd_solve(cfg, args.out)
-        elif args.command == "phase-grid":
-            cmd_phase_grid(cfg, args.out, threads=threads)
-        elif args.command == "netflow-sweep":
-            cmd_netflow_sweep(cfg, args.out, threads=threads)
-        elif args.command == "burst-compare":
-            cmd_burst_compare(cfg, args.out)
-        elif args.command == "diagnose":
-            cmd_diagnose(cfg, args.out)
+        getattr(pipelines, COMMANDS[args.command][0])(load_config(args), args.out)
     except (ConfigError, ParseError, DegenerateTruthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

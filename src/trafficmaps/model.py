@@ -113,7 +113,8 @@ class RoutingMatrix:
             raise ValueError("row count must match number of links")
         if entries.shape[1] != len(self.od_pairs):
             raise ValueError("column count must match number of OD pairs")
-        if entries.size and (entries.min() < -ZERO_ATOL or entries.max() > 1 + ZERO_ATOL):
+        # written so that a NaN entry, which fails every comparison, fails the check
+        if entries.size and not (entries.min() >= -ZERO_ATOL and entries.max() <= 1 + ZERO_ATOL):
             raise ValueError("routing fractions must lie in [0, 1]")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "od_pairs", tuple((int(o), int(d)) for o, d in self.od_pairs))
@@ -205,6 +206,8 @@ class Observations:
             raise ValueError("flow counts and mask dimensions differ")
         if Y.shape[1] != Z.shape[1]:
             raise ValueError("link and flow counts must share the time horizon")
+        if not (np.isfinite(Y).all() and np.isfinite(Z).all()):
+            raise ValueError("link and flow counts must be finite")
         if Z.size and np.abs(Z[~self.mask.mask]).max(initial=0.0) != 0.0:
             raise ValueError("flow counts must be exactly zero outside the mask")
         object.__setattr__(self, "link_counts", Y)

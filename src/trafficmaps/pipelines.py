@@ -150,10 +150,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         self._values = values
 
-    def override(self, key: str, value):
-        if value is not None:
-            self._values[key] = value
-
     def with_values(self, values: dict) -> "ExperimentConfig":
         """A new config with `values` set over this one's; this one is unchanged."""
         return ExperimentConfig({**self._values, **values})
@@ -468,26 +464,20 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
     write_manifest(os.path.join(out_dir, "report.txt"), report_entries)
 
     metrics: dict = {}
-    degenerate = None
     if truth is not None:
         # An all-zero true matrix leaves its relative error (and the sum)
         # undefined; the run is still recorded before the error is raised.
-        try:
-            e_x, e_a, e_sum = relative_errors(TrafficMatrices(X, A), truth)
-        except DegenerateTruthError as exc:
-            degenerate = exc
-            e_x = relative_error(X, truth.nominal)
-            e_a = relative_error(A, truth.anomalies)
-            e_sum = None
-        metrics = {"e_x": e_x, "e_a": e_a, "e_x_plus_a": e_sum}
+        e_x, e_a = relative_error(X, truth.nominal), relative_error(A, truth.anomalies)
+        metrics = {"e_x": e_x, "e_a": e_a,
+                   "e_x_plus_a": None if e_x is None or e_a is None else e_x + e_a}
         write_manifest(
             os.path.join(out_dir, "metrics.txt"),
             {k: _metric_text(v) for k, v in metrics.items()},
         )
     write_runrecord(os.path.join(out_dir, "runrecord.txt"), cfg, cfg.get("seed"),
                     metrics, iterations=report.iterations, wall_time=wall)
-    if degenerate is not None:
-        raise degenerate
+    if None in metrics.values():
+        raise DegenerateTruthError("nominal" if metrics["e_x"] is None else "anomaly")
     return metrics
 
 
@@ -527,8 +517,6 @@ def _map_quietly(work, items, threads: int) -> list:
     """[work(item) for item in items] on `threads` worker threads (serially for
     1), with warnings ignored.  catch_warnings swaps process-wide state and is
     not thread-safe, so it is entered once here, in the calling thread."""
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if threads == 1:
@@ -543,8 +531,9 @@ def phase_error_to_gray(err: np.ndarray) -> np.ndarray:
     return np.round(255 * (1.0 - v))
 
 
-def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.ndarray:
-    _require_positive(cfg, "phase.seeds", "phase.lam_grid", "phase.lam_lo", "phase.lam_hi")
+def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str) -> np.ndarray:
+    _require_positive(cfg, "phase.seeds", "phase.lam_grid", "phase.lam_lo", "phase.lam_hi",
+                      "threads")
     ranks = cfg.get_list("phase.ranks", int)
     counts = cfg.get_list("phase.sparsity_counts", int)
     if not ranks or not counts:
@@ -573,7 +562,7 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.
         return i, j, _phase_cell(cell_cfg, seed + 1000 * (i * len(counts) + j), lam_grid)
 
     tallies = Counter(diverged_lambdas=0, converged_lambdas=0, lambda_iterations=0)
-    for i, j, (val, cell_tallies) in _map_quietly(work, cells, threads):
+    for i, j, (val, cell_tallies) in _map_quietly(work, cells, cfg.get("threads")):
         errors[i, j] = val
         tallies.update(cell_tallies)
 
@@ -598,11 +587,11 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.
     return errors
 
 
-def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> np.ndarray:
+def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str) -> np.ndarray:
     pis = sorted(cfg.get_list("netflow.pis", float))
     if not pis:
         raise ConfigError("netflow.pis must be non-empty")
-    _require_positive(cfg, "netflow.seeds")
+    _require_positive(cfg, "netflow.seeds", "threads")
     n_seeds = cfg.get("netflow.seeds")
     seed = cfg.get("seed")
     start = time.perf_counter()
@@ -620,7 +609,7 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> 
                                  relative_error(A, sc.truth.anomalies))]
         return errors / n_seeds
 
-    rows = np.column_stack([pis, _map_quietly(work, pis, threads)])
+    rows = np.column_stack([pis, _map_quietly(work, pis, cfg.get("threads"))])
 
     metrics = {}
     for pi, ex, ea in rows:

@@ -112,12 +112,11 @@ def test_criterion_02_multipath_dominance():
     }
     whites = {}
     for paths in (1, 3):
-        cfg = ExperimentConfig(dict(base))
-        cfg.override("synth.paths", paths)
+        cfg = ExperimentConfig(base).with_values({"synth.paths": paths, "threads": 2})
         import tempfile
 
         with tempfile.TemporaryDirectory() as td:
-            errors = cmd_phase_grid(cfg, td, threads=2)
+            errors = cmd_phase_grid(cfg, td)
         whites[paths] = int((errors <= 0.01).sum())
     elapsed = time.perf_counter() - start
     ok = whites[3] >= whites[1] and elapsed < 900
@@ -137,7 +136,7 @@ def test_criterion_03_netflow_benefit_direction():
     import tempfile
 
     with tempfile.TemporaryDirectory() as td:
-        rows = cmd_netflow_sweep(cfg, td, threads=2)
+        rows = cmd_netflow_sweep(cfg.with_values({"threads": 2}), td)
     e_x = rows[:, 1]
     ok = e_x[0] > e_x[1] > e_x[2]
     report(3, ok, f"mean e_x over pi grid: {e_x[0]:.4f} > {e_x[1]:.6f} > {e_x[2]:.6f}")
@@ -267,8 +266,7 @@ def test_criterion_08_correlation_aware_advantage():
 
     wins = 0
     for seed in range(10):
-        cfg = ExperimentConfig(dict(base))
-        cfg.override("seed", seed)
+        cfg = ExperimentConfig(base).with_values({"seed": seed})
         with tempfile.TemporaryDirectory() as td:
             m = cmd_burst_compare(cfg, td)
         wins += m["e_x_p5"] < m["e_x_p1"] and m["e_a_p5"] < m["e_a_p1"]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import trafficmaps.admm as admm
+import trafficmaps.cli as cli
 import trafficmaps.diagnostics as diagnostics
 import trafficmaps.pipelines as pipelines
 from trafficmaps.admm import default_lambda
@@ -260,12 +261,26 @@ class TestSolveCommand:
         for name in ("nominal.csv", "anomalies.csv"):
             write_matrix(scn / name, read_matrix(scn / name)[:-1])
 
+    @staticmethod
+    def _nan_routing(scn):
+        R = read_matrix(scn / "routing.csv")
+        R[0, 0] = np.nan
+        write_matrix(scn / "routing.csv", R)
+
+    @staticmethod
+    def _nan_link_count(scn):
+        Y = read_matrix(scn / "link_counts.csv")
+        Y[0, 0] = np.nan
+        write_matrix(scn / "link_counts.csv", Y)
+
     @pytest.mark.parametrize("command", ["solve", "diagnose"])
     @pytest.mark.parametrize("defect, message", [
         ("_drop_od_pairs", "manifest.txt has no od_pairs entry"),
         ("_narrow_mask", "flow counts and mask dimensions differ"),
         ("_short_routing", "row count must match number of links"),
         ("_short_truth", "the ground-truth and flow-count matrices differ in shape"),
+        ("_nan_routing", "routing fractions must lie in [0, 1]"),
+        ("_nan_link_count", "link and flow counts must be finite"),
     ])
     def test_inconsistent_scenario_is_parse_error(self, tmp_path, scenario_dir, capsys,
                                                   command, defect, message):
@@ -315,7 +330,7 @@ class TestPhaseGrid:
             "phase.seeds": 1, "solver.max_iters": 500,
         })
         out = tmp_path / "grid"
-        errors = cmd_phase_grid(cfg, str(out), threads=2)
+        errors = cmd_phase_grid(cfg.with_values({"threads": 2}), str(out))
         assert errors.shape == (2, 2)
         assert np.isfinite(errors).all()
         img = read_pgm(out / "phase_grid.pgm")
@@ -381,7 +396,7 @@ class TestPhaseGrid:
 
         monkeypatch.setattr(admm, "soft_threshold", poisoned)
         monkeypatch.setattr(pipelines, "admm_solve_p2_path", recording)
-        cmd_phase_grid(ExperimentConfig(cfg), str(tmp_path / "g"), threads=2)
+        cmd_phase_grid(ExperimentConfig(dict(cfg, threads=2)), str(tmp_path / "g"))
         diverged = [r for r in results if isinstance(r, DivergenceError)]
         reports = [r[2] for r in results if not isinstance(r, DivergenceError)]
         assert len(results) == 12 and len(diverged) == 4
@@ -398,7 +413,7 @@ class TestPhaseGrid:
         })
         before = list(warnings.filters)
         for k in range(10):
-            cmd_phase_grid(ExperimentConfig(cfg), str(tmp_path / f"g{k}"), threads=2)
+            cmd_phase_grid(ExperimentConfig(dict(cfg, threads=2)), str(tmp_path / f"g{k}"))
             assert warnings.filters == before
 
     def test_thread_count_gives_same_bytes(self, tmp_path):
@@ -408,9 +423,24 @@ class TestPhaseGrid:
         })
         outs = [tmp_path / f"threads{n}" for n in (1, 2)]
         for n, out in zip((1, 2), outs):
-            cmd_phase_grid(ExperimentConfig(cfg), str(out), threads=n)
+            cmd_phase_grid(ExperimentConfig(dict(cfg, threads=n)), str(out))
         for name in ("phase_grid.csv", "phase_meta.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_thread_count_read_from_config(self, tmp_path, monkeypatch):
+        # The config that sets the workers is the one the run record shows.
+        real, seen = pipelines._map_quietly, []
+
+        def recorded(work, items, threads):
+            seen.append(threads)
+            return real(work, items, threads)
+
+        monkeypatch.setattr(pipelines, "_map_quietly", recorded)
+        cfg = ExperimentConfig(dict(self.TINY_GRID, **{"phase.lam_grid": 1,
+                                                       "solver.max_iters": 20}))
+        cmd_phase_grid(cfg.with_values({"threads": 2}), str(tmp_path / "g"))
+        assert seen == [2]
+        assert read_manifest(tmp_path / "g" / "runrecord.txt")["cfg.threads"] == "2"
 
     def test_every_cell_scenario_comes_from_the_recipe(self, tmp_path, monkeypatch):
         calls = record_scenarios(monkeypatch)
@@ -418,7 +448,7 @@ class TestPhaseGrid:
             "phase.ranks": "1,2", "phase.sparsity_counts": "2,4", "phase.seeds": 2,
             "phase.lam_grid": 1, "solver.max_iters": 20,
         })
-        cmd_phase_grid(ExperimentConfig(cfg), str(tmp_path / "g"), threads=2)
+        cmd_phase_grid(ExperimentConfig(dict(cfg, threads=2)), str(tmp_path / "g"))
         assert len(calls) == 8
         assert sorted((c.get("synth.rank"), c.get("synth.anomaly_prob")) for c, _, _ in calls) == [
             (r, s / 400) for r in (1, 2) for s in (2, 4) for _ in range(2)]
@@ -441,7 +471,7 @@ class TestPhaseGrid:
             "phase.ranks": "1,4,9", "phase.sparsity_counts": "6",
             "phase.lam_grid": 3, "phase.seeds": 5, "solver.max_iters": 500,
         })
-        errors = cmd_phase_grid(cfg, str(tmp_path / "g"), threads=2)
+        errors = cmd_phase_grid(cfg.with_values({"threads": 2}), str(tmp_path / "g"))
         col = errors[:, 0]
         assert col[0] <= col[1] + 1e-6 <= col[2] + 2e-6
 
@@ -457,7 +487,7 @@ class TestNetflowSweep:
             "netflow.pis": "0.25,0,1.0", "netflow.seeds": 3,
         })
         out = tmp_path / "sweep"
-        rows = cmd_netflow_sweep(cfg, str(out), threads=2)
+        rows = cmd_netflow_sweep(cfg.with_values({"threads": 2}), str(out))
         assert np.array_equal(rows[:, 0], np.array([0.0, 0.25, 1.0]))
         csv = read_matrix(out / "netflow_sweep.csv")
         assert np.allclose(csv, rows)
@@ -477,14 +507,14 @@ class TestNetflowSweep:
     def test_thread_count_gives_same_bytes(self, tmp_path):
         outs = [tmp_path / f"threads{n}" for n in (1, 2)]
         for n, out in zip((1, 2), outs):
-            cmd_netflow_sweep(ExperimentConfig(self.TINY_SWEEP), str(out), threads=n)
+            cmd_netflow_sweep(ExperimentConfig(dict(self.TINY_SWEEP, threads=n)), str(out))
         name = "netflow_sweep.csv"
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_every_replica_comes_from_the_recipe(self, tmp_path, monkeypatch):
         calls = record_scenarios(monkeypatch)
         cfg = dict(self.TINY_SWEEP, **{"solver.max_iters": 20})
-        cmd_netflow_sweep(ExperimentConfig(cfg), str(tmp_path / "nf"), threads=2)
+        cmd_netflow_sweep(ExperimentConfig(dict(cfg, threads=2)), str(tmp_path / "nf"))
         assert len(calls) == 6
         assert sorted(c.get("synth.sample_prob") for c, _, _ in calls) == [
             0.25, 0.25, 0.5, 0.5, 1.0, 1.0]
@@ -588,8 +618,7 @@ class TestBurstInterpolation:
 
         p1_rhos, p5_rhos = [], []
         for seed in range(3):
-            cfg = ExperimentConfig(dict(self.BASE))
-            cfg.override("seed", seed)
+            cfg = ExperimentConfig(self.BASE).with_values({"seed": seed})
             routing, X_train, truth, bp, obs = build_burst_scenario(cfg, seed)
             corr = learn_burst_correlations(X_train, bp, 48, 5)
             X1, _, _, _ = run_solver("p1", obs, routing, cfg)
@@ -622,8 +651,7 @@ class TestBurstInterpolation:
             "burst.row_miss": 0.0, "burst.time_prob": 0.3,
         })
         for seed in (0, 1):
-            cfg = ExperimentConfig(dict(cfg_vals))
-            cfg.override("seed", seed)
+            cfg = ExperimentConfig(cfg_vals).with_values({"seed": seed})
             routing, X_train, truth, bp, obs = build_burst_scenario(cfg, seed)
             corr = learn_burst_correlations(X_train, bp, 48, 5)
             X1, A1, _, _ = run_solver("p1", obs, routing, cfg)
@@ -767,6 +795,28 @@ class TestCliPlumbing:
         assert main(["solve", "--config", solve_cfg, "--out", str(out), "--solver", "p1"]) == 0
         assert read_manifest(out / "report.txt")["solver"] == "p1"
 
+    @pytest.mark.parametrize("command, flag", [
+        ("synth", "--solver=p1"), ("synth", "--threads=2"),
+        ("solve", "--seed=9"), ("solve", "--threads=3"),
+        ("phase-grid", "--solver=p1"),
+        ("burst-compare", "--solver=p1"), ("burst-compare", "--threads=2"),
+        ("diagnose", "--seed=9"), ("diagnose", "--solver=p1"), ("diagnose", "--threads=2"),
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--out", str(tmp_path / "out"), flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_commands_run_through_the_pipelines_module(self, tmp_path, monkeypatch):
+        # A wrapper set on the pipelines module (as the benchmark's tracer
+        # sets one) is the function main calls.
+        calls = []
+        monkeypatch.setattr(pipelines, "cmd_diagnose", lambda cfg, out: calls.append((cfg, out)))
+        assert main(["diagnose", "--out", str(tmp_path / "d")]) == 0
+        assert len(calls) == 1 and calls[0][1] == str(tmp_path / "d")
+
     @pytest.mark.parametrize("command, setting", [
         ("synth", "synth.rank=20"),
         ("phase-grid", "phase.sparsity_counts=150"),
@@ -809,6 +859,15 @@ class TestCliPlumbing:
                 for key in re.findall(r"^([\w.]+)=\S*$", block, flags=re.M)]
         assert len(keys) >= 10
         assert sorted(set(keys) - set(pipelines.CONFIG_KEYS)) == []
+
+    def test_readme_lists_each_commands_flags(self):
+        # The README's flag table is the command table, row for row.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "README.md")) as fh:
+            rows = re.findall(r"^\| `trafficmaps ([\w-]+)` \|(.*)\|$", fh.read(), flags=re.M)
+        documented = {name: re.findall(r"--\w+", flags) for name, flags in rows}
+        assert documented == {name: ["--config", "--out", *flags]
+                              for name, (_, _, flags) in cli.COMMANDS.items()}
 
     def test_missing_scenario_config_is_config_error(self, tmp_path):
         assert main(["solve", "--out", str(tmp_path / "x")]) == 2
