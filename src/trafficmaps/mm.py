@@ -134,16 +134,6 @@ def p5_objective(state: FactorState, obs: Observations, routing,
     return _objective(state, prior_solves(state, corr), residuals(state, obs, routing), cfg)
 
 
-def p4_objective(state: FactorState, obs: Observations, routing, cfg: MmConfig) -> float:
-    """Plain bilinear objective: data fit plus Frobenius factor penalties."""
-    phi_y, phi_z = residuals(state, obs, routing)
-    fit = 0.5 * (np.linalg.norm(phi_y) ** 2 + np.linalg.norm(phi_z) ** 2)
-    reg = 0.5 * cfg.lambda_star * (
-        np.linalg.norm(state.L) ** 2 + np.linalg.norm(state.Q) ** 2
-    ) + 0.5 * cfg.lambda_1 * (np.linalg.norm(state.B) ** 2 + np.linalg.norm(state.C) ** 2)
-    return float(fit + reg)
-
-
 def block_gradient(block: str, state: FactorState, obs: Observations, routing,
                    solves: FactorState, cfg: MmConfig) -> np.ndarray:
     """Gradient of the objective with respect to one block at the current state.

@@ -125,6 +125,15 @@ class RoutingMatrix:
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
+    @property
+    def disjoint_paths(self) -> np.ndarray:
+        """Per OD pair, the links out of its origin that carry a positive
+        fraction of it: its path count when, as from `build_routing`, its
+        paths are link-disjoint min-hop paths, each leaving on its own link."""
+        tails = np.array([a for a, _ in self.links], dtype=int)
+        origins = np.array([o for o, _ in self.od_pairs], dtype=int)
+        return ((self.entries > 0) & (tails[:, None] == origins)).sum(axis=0)
+
     def _check_conservation(self, atol: float = ZERO_ATOL):
         in_by_node: list[list[int]] = [[] for _ in range(self.node_count)]
         out_by_node: list[list[int]] = [[] for _ in range(self.node_count)]

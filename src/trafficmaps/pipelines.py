@@ -12,7 +12,6 @@ import functools
 import os
 import sys
 import time
-import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -295,6 +294,7 @@ def write_scenario(out_dir: str, scenario: Scenario, cfg: ExperimentConfig, seed
         "rank": cfg.get("synth.rank"),
         "anomaly_prob": cfg.get("synth.anomaly_prob"),
         "paths": cfg.get("synth.paths"),
+        "short_od_pairs": int((r.disjoint_paths < cfg.get("synth.paths")).sum()),
         "nullspace_dim": F - int(np.linalg.matrix_rank(r.entries)),
         "observed_fraction": f"{scenario.obs.mask.observed_fraction:.6f}",
         "od_pairs": ";".join(f"{o}:{d}" for o, d in r.od_pairs),
@@ -406,8 +406,7 @@ def _mm_config(cfg: ExperimentConfig) -> MmConfig:
     )
 
 
-def run_solver(kind: str, obs: Observations, routing, cfg: ExperimentConfig,
-               link_mask=None, corr: CorrelationSet | None = None):
+def run_solver(kind: str, obs: Observations, routing, cfg: ExperimentConfig, link_mask=None):
     """Dispatch one estimator run; returns (X, A, extras, report)."""
     if kind == "p2":
         X, A, report = admm_solve_p2(obs, routing, _admm_config(cfg))
@@ -420,8 +419,7 @@ def run_solver(kind: str, obs: Observations, routing, cfg: ExperimentConfig,
         return X, A, {"outliers_link": O_y, "outliers_flow": O_z}, report
     if kind == "p5":
         F, T = obs.flow_counts.shape
-        corr = corr if corr is not None else CorrelationSet.identity(F, T)
-        X, A, report = mm_solve(obs, routing, corr, _mm_config(cfg))
+        X, A, report = mm_solve(obs, routing, CorrelationSet.identity(F, T), _mm_config(cfg))
         return X, A, {}, report
     raise ConfigError(f"solver.kind must be one of p1|p2|p5|p6, got {kind!r}")
 
@@ -483,8 +481,9 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, Counter]:
     """Best e_{x+a} over the lambda grid for one (rank, sparsity) cell, and the
-    counts of lambda solves that diverged and converged and of their summed
-    iterations.  `cfg` carries the cell's synth.rank and synth.anomaly_prob."""
+    counts of lambda solves that diverged and converged, of their summed
+    iterations and of the OD pairs with fewer than synth.paths disjoint paths.
+    `cfg` carries the cell's synth.rank and synth.anomaly_prob."""
     reps = cfg.get("phase.seeds")
     admm_cfg = _admm_config(cfg)
     total = 0.0
@@ -493,6 +492,7 @@ def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, Coun
         cell_seed = seed + rep
         scenario = build_scenario(cfg, cell_seed)
         routing, truth, obs = scenario.routing, scenario.truth, scenario.obs
+        tallies["short_od_pairs"] += int((routing.disjoint_paths < cfg.get("synth.paths")).sum())
         if not truth.anomalies.any():  # degenerate draw; force one anomaly for a valid error metric
             A0 = truth.anomalies.copy()
             A0[0, 0] = 1.0
@@ -513,16 +513,12 @@ def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, Coun
     return total / reps, tallies
 
 
-def _map_quietly(work, items, threads: int) -> list:
-    """[work(item) for item in items] on `threads` worker threads (serially for
-    1), with warnings ignored.  catch_warnings swaps process-wide state and is
-    not thread-safe, so it is entered once here, in the calling thread."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if threads == 1:
-            return [work(item) for item in items]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, items))
+def _map_cells(work, items, threads: int) -> list:
+    """[work(item) for item in items] on `threads` worker threads (serially for 1)."""
+    if threads == 1:
+        return [work(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, items))
 
 
 def phase_error_to_gray(err: np.ndarray) -> np.ndarray:
@@ -562,7 +558,7 @@ def cmd_phase_grid(cfg: ExperimentConfig, out_dir: str) -> np.ndarray:
         return i, j, _phase_cell(cell_cfg, seed + 1000 * (i * len(counts) + j), lam_grid)
 
     tallies = Counter(diverged_lambdas=0, converged_lambdas=0, lambda_iterations=0)
-    for i, j, (val, cell_tallies) in _map_quietly(work, cells, cfg.get("threads")):
+    for i, j, (val, cell_tallies) in _map_cells(work, cells, cfg.get("threads")):
         errors[i, j] = val
         tallies.update(cell_tallies)
 
@@ -609,7 +605,7 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str) -> np.ndarray:
                                  relative_error(A, sc.truth.anomalies))]
         return errors / n_seeds
 
-    rows = np.column_stack([pis, _map_quietly(work, pis, cfg.get("threads"))])
+    rows = np.column_stack([pis, _map_cells(work, pis, cfg.get("threads"))])
 
     metrics = {}
     for pi, ex, ea in rows:
@@ -629,9 +625,7 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str) -> np.ndarray:
 def build_burst_scenario(cfg: ExperimentConfig, seed: int):
     """Training history plus a bursty test day under the structured mask, on
     the recipe's network."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        routing = build_network(cfg, seed)
+    routing = build_network(cfg, seed)
     F = cfg.get("synth.flows")
     T = cfg.get("synth.periods")
     K = cfg.get("burst.days")
@@ -731,7 +725,9 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
-    lam = _admm_config(cfg).lam  # rejected before any work
+    lam = cfg.get("solver.lam")
+    if lam is not None and not 0 < lam < np.inf:  # NaN fails; rejected before any work
+        raise ConfigError("invalid solver settings: lam must be positive when set")
     scenario_dir = cfg.get("io.scenario")
     if not scenario_dir:
         raise ConfigError("io.scenario must point at a scenario directory")

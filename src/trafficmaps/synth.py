@@ -6,7 +6,6 @@ identical inputs reproduce bit-identical outputs.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 
@@ -155,7 +154,8 @@ def build_routing(
     """Min-hop multipath routing matrix over up to `paths_per_od` disjoint paths.
 
     Per OD flow, link-disjoint min-hop paths are found greedily by removing
-    the links of each found path before searching for the next.  Each path
+    the links of each found path before searching for the next, so a pair
+    may get fewer (`RoutingMatrix.disjoint_paths` counts them).  Each path
     carries a random fraction of the flow (uniform draws normalized to sum to
     one).  Links that end up carrying no traffic are discarded, so the
     returned matrix may have fewer rows than the topology has links.
@@ -165,9 +165,7 @@ def build_routing(
     od_pairs = tuple((int(o), int(d)) for o, d in od_pairs)
     rng = np.random.default_rng(seed)
     link_index = {link: i for i, link in enumerate(topo.links)}
-    F = len(od_pairs)
-    weights = np.zeros((topo.link_count, F))
-    shortfall = 0
+    weights = np.zeros((topo.link_count, len(od_pairs)))
     for f, (orig, dest) in enumerate(od_pairs):
         out_adj: dict[int, list[int]] = {}
         for a, b in topo.links:
@@ -182,18 +180,11 @@ def build_routing(
                 out_adj[a].remove(b)
         if not paths:
             raise InfeasibleRoutingError(f"no path from node {orig} to node {dest}")
-        if len(paths) < paths_per_od:
-            shortfall += 1
         draws = rng.random(len(paths))
         fractions = draws / draws.sum()
         for path, w in zip(paths, fractions):
             for a, b in zip(path[:-1], path[1:]):
                 weights[link_index[(a, b)], f] += w
-    if shortfall:
-        warnings.warn(
-            f"{shortfall} of {F} OD pairs have fewer than {paths_per_od} disjoint paths",
-            stacklevel=2,
-        )
     used = np.flatnonzero(weights.any(axis=1))
     links = tuple(topo.links[i] for i in used)
     return RoutingMatrix(

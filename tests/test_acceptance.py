@@ -5,7 +5,6 @@ lines; the heavyweight scenarios stay within a few minutes each.
 """
 
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -69,9 +68,7 @@ def standard_scenario(seed, F, T, rho, p, paths, pi, nodes=15, radius=0.5,
         "synth.rank": rho, "synth.anomaly_prob": p, "synth.paths": paths,
         "synth.sample_prob": pi, "synth.noise_link": sigma_v, "synth.noise_flow": sigma_w,
     })
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        s = build_scenario(cfg, seed)
+    s = build_scenario(cfg, seed)
     return s.routing, s.truth, s.obs
 
 

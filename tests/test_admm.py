@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,9 +32,7 @@ def make_scenario(seed, F=30, T=30, rho=1, p=0.02, K=3, pi=0.4, N=10, d_c=0.6):
         "synth.nodes": N, "synth.radius": d_c, "synth.flows": F, "synth.periods": T,
         "synth.rank": rho, "synth.anomaly_prob": p, "synth.paths": K, "synth.sample_prob": pi,
     })
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        s = build_scenario(cfg, seed)
+    s = build_scenario(cfg, seed)
     return s.routing, s.truth.nominal, s.truth.anomalies, s.obs
 
 

@@ -78,6 +78,9 @@ class TestSynthCommand:
         L = int(manifest["links"])
         assert read_matrix(out / "routing.csv").shape == (L, F)
         assert int(manifest["nullspace_dim"]) >= 0
+        # this network has fewer than synth.paths=2 disjoint paths for some pairs
+        routing = load_scenario(str(out))[0]
+        assert int(manifest["short_od_pairs"]) == (routing.disjoint_paths < 2).sum() > 0
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH)
@@ -429,13 +432,13 @@ class TestPhaseGrid:
 
     def test_thread_count_read_from_config(self, tmp_path, monkeypatch):
         # The config that sets the workers is the one the run record shows.
-        real, seen = pipelines._map_quietly, []
+        real, seen = pipelines._map_cells, []
 
         def recorded(work, items, threads):
             seen.append(threads)
             return real(work, items, threads)
 
-        monkeypatch.setattr(pipelines, "_map_quietly", recorded)
+        monkeypatch.setattr(pipelines, "_map_cells", recorded)
         cfg = ExperimentConfig(dict(self.TINY_GRID, **{"phase.lam_grid": 1,
                                                        "solver.max_iters": 20}))
         cmd_phase_grid(cfg.with_values({"threads": 2}), str(tmp_path / "g"))
@@ -453,6 +456,8 @@ class TestPhaseGrid:
         assert sorted((c.get("synth.rank"), c.get("synth.anomaly_prob")) for c, _, _ in calls) == [
             (r, s / 400) for r in (1, 2) for s in (2, 4) for _ in range(2)]
         assert len({seed for _, seed, _ in calls}) == 8
+        short = sum(int((sc.routing.disjoint_paths < 2).sum()) for _, _, sc in calls)
+        assert read_manifest(tmp_path / "g" / "phase_meta.txt")["short_od_pairs"] == str(short)
 
     def test_gray_mapping(self):
         err = np.array([[0.005, 0.01], [1.0, 2.0]])
@@ -713,6 +718,19 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", dcfg, "--out", str(tmp_path / "diag")]) == 0
         assert read_manifest(tmp_path / "diag" / "diagnose.txt")["certificate_lambda"] == "0.3"
 
+    def test_unused_solver_settings_are_not_read(self, tmp_path):
+        # diagnose reads solver.lam alone; the settings of solvers it never
+        # runs neither stop it nor change its report
+        cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH)
+        scn = tmp_path / "scn"
+        main(["synth", "--config", cfg, "--out", str(scn)])
+        reports = []
+        for name, extra in (("plain", ""), ("unused", "solver.max_iters=0\nsolver.tol_primal=0\n")):
+            dcfg = write_cfg(tmp_path / f"{name}.txt", f"io.scenario={scn}\n{extra}")
+            assert main(["diagnose", "--config", dcfg, "--out", str(tmp_path / name)]) == 0
+            reports.append((tmp_path / name / "diagnose.txt").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_size_guard_exit_code_with_partial_report(self, tmp_path):
         big = write_cfg(
             tmp_path / "big.txt",
@@ -879,6 +897,8 @@ class TestCliPlumbing:
         ("burst-compare", "solver.lam=-1", "invalid solver settings"),
         ("burst-compare", "solver.tol=-1", "invalid solver settings"),
         ("diagnose", "solver.lam=-1", "invalid solver settings"),
+        ("diagnose", "solver.lam=nan", "invalid solver settings"),
+        ("diagnose", "solver.lam=inf", "invalid solver settings"),
         # NaN passes a `v < 0` check; each of these ran to the cap or diverged
         ("solve", "solver.kind=p1\nsolver.lambda_star=nan", "invalid solver settings"),
         ("solve", "solver.kind=p1\nsolver.lambda_1=nan", "invalid solver settings"),

@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +15,6 @@ from trafficmaps.mm import (
     init_state,
     mm_solve,
     mm_step,
-    p4_objective,
     p5_objective,
     power_norm_sym,
     prior_solves,
@@ -114,9 +112,13 @@ class TestObjective:
         R, obs, _, cfg = small_problem(1, identity_corr=True)
         corr = CorrelationSet.identity(4, 4)
         state = init_state(4, 4, cfg, seed=5)
-        assert p5_objective(state, obs, R, corr, cfg) == pytest.approx(
-            p4_objective(state, obs, R, cfg), rel=1e-12
+        # p4: the plain bilinear objective, data fit plus Frobenius factor penalties
+        phi_y, phi_z = residuals(state, obs, R)
+        p4 = 0.5 * (np.linalg.norm(phi_y) ** 2 + np.linalg.norm(phi_z) ** 2) + 0.5 * (
+            cfg.lambda_star * (np.linalg.norm(state.L) ** 2 + np.linalg.norm(state.Q) ** 2)
+            + cfg.lambda_1 * (np.linalg.norm(state.B) ** 2 + np.linalg.norm(state.C) ** 2)
         )
+        assert p5_objective(state, obs, R, corr, cfg) == pytest.approx(p4, rel=1e-12)
 
     def test_hand_instance_against_slow_oracle(self):
         R, obs, corr, cfg = small_problem(2, F=2, T=2, L=2)
@@ -304,9 +306,7 @@ def equivalence_instance(seed, F=12, T=12, rho=1, p=0.05, K=2, pi=0.5, N=7, d_c=
         "synth.rank": rho, "synth.anomaly_prob": p, "synth.paths": K, "synth.sample_prob": pi,
         "synth.noise_link": 0.01, "synth.noise_flow": 0.01,
     })
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        s = build_scenario(cfg, seed)
+    s = build_scenario(cfg, seed)
     return s.routing, s.obs
 
 

@@ -1,9 +1,10 @@
-import warnings
-
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from trafficmaps.fileio import read_manifest
+from trafficmaps.model import SamplingMask, Topology, TrafficMatrices
+from trafficmaps.pipelines import ExperimentConfig, Scenario, connected_topology, write_scenario
 from trafficmaps.synth import (
     BurstParams,
     GeoGraphParams,
@@ -17,6 +18,7 @@ from trafficmaps.synth import (
     gen_mask,
     gen_sparse_anomalies,
     gen_structured_mask,
+    _shortest_path,
     is_connected,
     observe,
 )
@@ -74,9 +76,7 @@ class TestBuildRouting:
     def test_fraction_sums_and_conservation(self):
         topo = gen_geometric_graph(GeoGraphParams(12, 0.55, 5))
         od = choose_od_pairs(topo, 20, seed=6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            r = build_routing(topo, od, 3, seed=7)
+        r = build_routing(topo, od, 3, seed=7)
         # Conservation is validated in the constructor; check fraction totals
         # at each origin: outgoing minus incoming at the origin equals 1.
         for f, (o, d) in enumerate(r.od_pairs):
@@ -87,10 +87,8 @@ class TestBuildRouting:
     def test_reference_scale_nullspace(self):
         topo = gen_geometric_graph(GeoGraphParams(30, 0.35, 0))
         od = choose_od_pairs(topo, 290, seed=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            r1 = build_routing(topo, od, 1, seed=2)
-            r3 = build_routing(topo, od, 3, seed=2)
+        r1 = build_routing(topo, od, 1, seed=2)
+        r3 = build_routing(topo, od, 3, seed=2)
         dim1 = 290 - np.linalg.matrix_rank(r1.entries)
         dim3 = 290 - np.linalg.matrix_rank(r3.entries)
         assert dim1 > 0
@@ -105,6 +103,56 @@ class TestBuildRouting:
         b = build_routing(topo, od, 2, seed=3)
         assert np.array_equal(a.entries, b.entries)
         assert a.links == b.links
+
+
+def ring(n):
+    """Bidirectional ring: two link-disjoint min-hop paths per pair."""
+    links = [(i, (i + 1) % n) for i in range(n)] + [((i + 1) % n, i) for i in range(n)]
+    return Topology(node_count=n, links=tuple(links))
+
+
+def complete(n):
+    """Complete digraph: n-1 link-disjoint min-hop paths per pair."""
+    return Topology(node_count=n,
+                    links=tuple((a, b) for a in range(n) for b in range(n) if a != b))
+
+
+class TestDisjointPaths:
+    @pytest.mark.parametrize("topo, paths", [(ring(6), 2), (complete(5), 4)],
+                             ids=["ring", "complete"])
+    def test_hand_topologies(self, tmp_path, recwarn, topo, paths):
+        n = topo.node_count
+        od = [(o, d) for o in range(n) for d in range(n) if o != d]
+        for K in (paths - 1, paths, paths + 2):
+            r = build_routing(topo, od, K, seed=1)
+            assert r.disjoint_paths.tolist() == [min(K, paths)] * len(od)
+            X0 = np.ones((len(od), 3))
+            mask = SamplingMask(np.ones(X0.shape, dtype=bool))
+            scenario = Scenario(r, TrafficMatrices(X0, 0 * X0), observe(r, X0, 0 * X0, mask))
+            write_scenario(str(tmp_path / f"K{K}"), scenario,
+                           ExperimentConfig({"synth.paths": K}), seed=1)
+            manifest = read_manifest(tmp_path / f"K{K}" / "manifest.txt")
+            assert manifest["short_od_pairs"] == str(len(od) if K > paths else 0)
+        assert len(recwarn) == 0
+
+    def test_counts_the_greedy_search_on_geometric_graphs(self):
+        short = 0
+        for seed in range(4):
+            topo = connected_topology(12, 0.45, seed)
+            od = choose_od_pairs(topo, 30, seed + 1)
+            r = build_routing(topo, od, 3, seed + 2)
+            for f, (o, d) in enumerate(od):
+                out_adj: dict[int, list[int]] = {}
+                for a, b in topo.links:
+                    out_adj.setdefault(a, []).append(b)
+                found = 0
+                while found < 3 and (path := _shortest_path(out_adj, o, d)) is not None:
+                    found += 1
+                    for a, b in zip(path[:-1], path[1:]):
+                        out_adj[a].remove(b)
+                assert r.disjoint_paths[f] == found
+                short += found < 3
+        assert short > 0
 
 
 class TestLowRankTraffic:
