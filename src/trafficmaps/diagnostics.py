@@ -5,12 +5,17 @@
    support, low-rank tangent space), each orthonormal by construction and
    checked so by the tests, give exact incoherence measures (principal-angle
    cosines) and the closed-form tau (the largest row norm of the per-column
-   nullspace bases).
+   nullspace bases, read off the intersection basis).
 2. `check_recovery_conditions`: the Theorem's closed-form conditions, the
    feasible-lambda range, and (`IncoherenceReport.conditions`) theta with
    conditions (a) and (b) at one lambda.  This is the only copy of that algebra.
 3. `dual_certificate`: the numerical dual certificate at one lambda, which
    certifies unique optimality of the constrained estimator on the instance.
+
+Steps 1 and 3 use the same support, tangent and intersection bases.
+`instance_bases` builds them once (one per-column kernel pass, one tangent
+basis, one support basis), and both steps accept the result; each builds its
+own when given none.
 
 The anomaly support is the bundle's read-only boolean F-by-T matrix; a support
 basis orders its cells row-major.
@@ -184,17 +189,38 @@ def gammas(bundle: SubspaceBundle):
     return g_u, g_v, g_uv, g_u + g_v
 
 
-def tau(routing, mask: SamplingMask) -> float:
+def tau(inter: SubspaceBasis) -> float:
     """Largest entry magnitude over unit-spectral-norm nullspace-intersection elements.
 
-    Column t of any H in N_R cap N_Pi lies in the range of
-    K_t = _null_space(R[:, hidden_t]), and ||H||_2 >= ||h_t||_2, so the ratio
+    Column t of any H in N_R cap N_Pi lies in the range of K_t
+    (`_column_kernels`), and ||H||_2 >= ||h_t||_2, so the ratio
     |H_ft| / ||H||_2 is largest for a single-column H.  Within column t the
     best ratio is the norm of row f of the orthonormal K_t, which gives the
-    exact closed form tau = max over t and f of ||K_t[f, :]||_2.
+    exact closed form tau = max over t and f of ||K_t[f, :]||_2.  Row
+    f*T + t of the intersection basis holds K_t[f, :] and zeros; its squares
+    are summed left to right, so the zeros add nothing and the norm does not
+    depend on where K_t's columns sit in the basis.
     """
-    return max((float(np.linalg.norm(K, axis=1).max())
-                for _, _, K in _column_kernels(routing, mask) if K.shape[1]), default=0.0)
+    if inter.dim == 0:
+        return 0.0
+    V = inter.vectors
+    return float(np.sqrt(np.add.accumulate(V * V, axis=1)[:, -1].max()))
+
+
+@dataclass(frozen=True)
+class InstanceBases:
+    """The bases that the measures and the certificate share: the support
+    Omega, the tangent space Phi and N_R cap N_Pi, each built once per instance
+    by `instance_bases` and passed to both."""
+
+    omega: SubspaceBasis
+    phi: SubspaceBasis
+    inter: SubspaceBasis
+
+
+def instance_bases(routing, mask: SamplingMask, bundle: SubspaceBundle) -> InstanceBases:
+    return InstanceBases(omega_basis(bundle.support), phi_basis(bundle),
+                         intersect_nullspaces(routing, mask))
 
 
 @dataclass(frozen=True)
@@ -314,34 +340,40 @@ def check_recovery_conditions(
     )
 
 
-def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle) -> dict:
+def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle,
+                         bases: InstanceBases | None = None) -> dict:
     """All subspace measures needed by the recovery checker, as a dict.
 
     Every measure is exact: the incoherences are principal-angle cosines and
     `tau` is the closed-form row-norm maximum, so none depends on a random
     draw, and relabelling flows or periods moves them only by rounding.
+    `bases` are the instance's shared bases, built here when not given.
     """
     F, T = bundle.shape
     _check_size(F, T)
-    omega = omega_basis(bundle.support)
-    phi = phi_basis(bundle)
+    if bases is None:
+        bases = instance_bases(routing, mask, bundle)
+    # The nullspace bases are the largest here, so each is dropped after its use.
     nr = nullspace_R_basis(routing, T)
+    beta, nu = mu(bases.omega, nr), mu(nr, omega_basis(bundle.support & ~mask.mask))
+    del nr
     npi = nullspace_Pi_basis(mask)
-    omega_cap_npi = omega_basis(bundle.support & ~mask.mask)
+    xi, mu_npi_omega = mu(npi, bases.phi), mu(npi, bases.omega)
+    del npi
     g_u, g_v, g_uv, eta = gammas(bundle)
     return {
-        "alpha": mu(omega, phi),
-        "beta": mu(omega, nr),
-        "xi": mu(npi, phi),
-        "nu": mu(nr, omega_cap_npi),
-        "mu_npi_omega": mu(npi, omega),
+        "alpha": mu(bases.omega, bases.phi),
+        "beta": beta,
+        "xi": xi,
+        "nu": nu,
+        "mu_npi_omega": mu_npi_omega,
         "eta": eta,
         "gamma": g_uv,
         "gamma_u": g_u,
         "gamma_v": g_v,
-        "tau": tau(routing, mask),
+        "tau": tau(bases.inter),
         "k_max_col": int(bundle.support.sum(axis=0).max(initial=0)),
-        "null_intersection_dim": sum(K.shape[1] for _, _, K in _column_kernels(routing, mask)),
+        "null_intersection_dim": bases.inter.dim,
     }
 
 
@@ -392,14 +424,16 @@ class CertificateReport:
 
 
 def dual_certificate(routing, mask: SamplingMask, bundle: SubspaceBundle, lam: float,
-                     sign_A0: np.ndarray | None = None) -> CertificateReport:
+                     sign_A0: np.ndarray | None = None,
+                     bases: InstanceBases | None = None) -> CertificateReport:
     """Construct and verify the dual certificate for one instance.
 
     Solves for the unique Gamma in Omega + Phi + (N_R cap N_Pi) whose
     projections match lam * sgn(A0) on the support, U0 V0' on the tangent
     space, and zero on the nullspace intersection; then checks the strict
     norm bounds.  `sign_A0` supplies the anomaly signs (defaults to +1 on the
-    support, which matches anomalies known to be nonnegative).
+    support, which matches anomalies known to be nonnegative).  `bases` are
+    the instance's shared bases, built here when not given.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -410,9 +444,9 @@ def dual_certificate(routing, mask: SamplingMask, bundle: SubspaceBundle, lam: f
     if not sign_target[support].all():
         raise ValueError("sign matrix is zero on part of the support")
 
-    omega = omega_basis(support)
-    phi = phi_basis(bundle)
-    inter = intersect_nullspaces(routing, mask)
+    if bases is None:
+        bases = instance_bases(routing, mask, bundle)
+    omega, phi, inter = bases.omega, bases.phi, bases.inter
     M = np.column_stack([b.vectors for b in (omega, phi, inter) if b.dim > 0])
     if M.shape[1] == 0:
         raise NotLocallyIdentifiableError("all certificate subspaces are trivial")

@@ -135,23 +135,23 @@ class RoutingMatrix:
         return ((self.entries > 0) & (tails[:, None] == origins)).sum(axis=0)
 
     def _check_conservation(self, atol: float = ZERO_ATOL):
-        in_by_node: list[list[int]] = [[] for _ in range(self.node_count)]
-        out_by_node: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, (a, b) in enumerate(self.links):
-            out_by_node[a].append(i)
-            in_by_node[b].append(i)
-        R = self.entries
-        for f, (orig, dest) in enumerate(self.od_pairs):
-            for n in range(self.node_count):
-                if n == orig or n == dest:
-                    continue
-                flow_in = R[in_by_node[n], f].sum() if in_by_node[n] else 0.0
-                flow_out = R[out_by_node[n], f].sum() if out_by_node[n] else 0.0
-                if abs(flow_in - flow_out) > atol:
-                    raise ValueError(
-                        f"flow conservation violated for flow {f} at node {n}: "
-                        f"in={flow_in:.3e} out={flow_out:.3e}"
-                    )
+        """Node-by-flow in- and out-fractions from node-by-link incidence
+        products; the first violation in flow-then-node order is reported."""
+        L, N = len(self.links), self.node_count
+        ends = np.array(self.links, dtype=int).reshape(L, 2)
+        into, out_of = np.zeros((N, L)), np.zeros((N, L))
+        into[ends[:, 1], np.arange(L)] = 1.0
+        out_of[ends[:, 0], np.arange(L)] = 1.0
+        flow_in, flow_out = into @ self.entries, out_of @ self.entries
+        od = np.array(self.od_pairs, dtype=int).reshape(-1, 2)
+        nodes = np.arange(N)[:, None]
+        bad = (np.abs(flow_in - flow_out) > atol) & (nodes != od[:, 0]) & (nodes != od[:, 1])
+        if bad.any():
+            f, n = np.argwhere(bad.T)[0]
+            raise ValueError(
+                f"flow conservation violated for flow {f} at node {n}: "
+                f"in={flow_in[n, f]:.3e} out={flow_out[n, f]:.3e}"
+            )
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .diagnostics import (
     NotLocallyIdentifiableError,
     SIZE_GUARD_CELLS,
     dual_certificate,
+    instance_bases,
     measure_incoherences,
     check_recovery_conditions,
 )
@@ -273,6 +274,11 @@ def build_scenario(cfg: ExperimentConfig, seed: int) -> Scenario:
     return Scenario(routing=routing, truth=truth, obs=_observe(cfg, routing, truth, mask, seed))
 
 
+def _short_od_pairs(cfg: ExperimentConfig, routing: RoutingMatrix) -> int:
+    """The OD pairs that got fewer than synth.paths disjoint paths."""
+    return int((routing.disjoint_paths < cfg.get("synth.paths")).sum())
+
+
 def write_scenario(out_dir: str, scenario: Scenario, cfg: ExperimentConfig, seed: int) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     r = scenario.routing
@@ -294,7 +300,7 @@ def write_scenario(out_dir: str, scenario: Scenario, cfg: ExperimentConfig, seed
         "rank": cfg.get("synth.rank"),
         "anomaly_prob": cfg.get("synth.anomaly_prob"),
         "paths": cfg.get("synth.paths"),
-        "short_od_pairs": int((r.disjoint_paths < cfg.get("synth.paths")).sum()),
+        "short_od_pairs": _short_od_pairs(cfg, r),
         "nullspace_dim": F - int(np.linalg.matrix_rank(r.entries)),
         "observed_fraction": f"{scenario.obs.mask.observed_fraction:.6f}",
         "od_pairs": ";".join(f"{o}:{d}" for o, d in r.od_pairs),
@@ -351,13 +357,13 @@ def _metric_text(value):
 
 
 def write_runrecord(path: str, cfg: ExperimentConfig, seed: int, metrics: dict,
-                    iterations=None, wall_time: float = 0.0):
-    """Reproducibility record: config snapshot, seed, metrics, cost, version."""
+                    wall_time: float = 0.0, **counts):
+    """Reproducibility record: config snapshot, seed, metrics, counts (such as
+    iterations), cost, version."""
     record = {f"cfg.{k}": v for k, v in cfg.snapshot().items()}
     record.update({f"metric.{k}": _metric_text(v) for k, v in metrics.items()})
     record["seed"] = seed
-    if iterations is not None:
-        record["iterations"] = iterations
+    record.update(counts)
     record["wall_time_s"] = f"{wall_time:.3f}"
     record["version"] = __version__
     write_manifest(path, record)
@@ -492,7 +498,7 @@ def _phase_cell(cfg: ExperimentConfig, seed: int, lam_grid) -> tuple[float, Coun
         cell_seed = seed + rep
         scenario = build_scenario(cfg, cell_seed)
         routing, truth, obs = scenario.routing, scenario.truth, scenario.obs
-        tallies["short_od_pairs"] += int((routing.disjoint_paths < cfg.get("synth.paths")).sum())
+        tallies["short_od_pairs"] += _short_od_pairs(cfg, routing)
         if not truth.anomalies.any():  # degenerate draw; force one anomaly for a valid error metric
             A0 = truth.anomalies.copy()
             A0[0, 0] = 1.0
@@ -595,17 +601,19 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str) -> np.ndarray:
     def work(pi):
         # Each replica's masks come from one stream, so they are nested across pi.
         pi_cfg = cfg.with_values({"synth.mask": "bernoulli", "synth.sample_prob": pi})
-        errors = np.zeros(2)
+        errors, short = np.zeros(2), 0
         for rep in range(n_seeds):
             sc = build_scenario(pi_cfg, seed + 17 * rep)
+            short += _short_od_pairs(cfg, sc.routing)
             X, A, _, _ = run_solver(cfg.get("solver.kind"), sc.obs, sc.routing, cfg)
             # an all-zero truth leaves its error undefined: nan here, raised below
             errors += [np.nan if e is None else e
                        for e in (relative_error(X, sc.truth.nominal),
                                  relative_error(A, sc.truth.anomalies))]
-        return errors / n_seeds
+        return errors / n_seeds, short
 
-    rows = np.column_stack([pis, _map_cells(work, pis, cfg.get("threads"))])
+    cells = _map_cells(work, pis, cfg.get("threads"))
+    rows = np.column_stack([pis, [errors for errors, _ in cells]])
 
     metrics = {}
     for pi, ex, ea in rows:
@@ -613,8 +621,9 @@ def cmd_netflow_sweep(cfg: ExperimentConfig, out_dir: str) -> np.ndarray:
         metrics[f"e_a_at_{pi:g}"] = None if np.isnan(ea) else float(ea)
     os.makedirs(out_dir, exist_ok=True)
     write_matrix(os.path.join(out_dir, "netflow_sweep.csv"), rows)
+    # every pi draws the same replica networks, so each cell's count is their sum
     write_runrecord(os.path.join(out_dir, "runrecord.txt"), cfg, seed, metrics,
-                    wall_time=time.perf_counter() - start)
+                    wall_time=time.perf_counter() - start, short_od_pairs=cells[0][1])
     undefined = np.isnan(rows[:, 1:]).any(axis=0)
     if undefined.any():
         raise DegenerateTruthError("nominal" if undefined[0] else "anomaly")
@@ -717,7 +726,8 @@ def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:
         os.path.join(out_dir, "compare.txt"),
         {k: f"{v:.12e}" for k, v in metrics.items()}
         | {"iters_p1": rep1.iterations, "iters_p5": rep5.iterations,
-           "converged_p1": rep1.converged, "converged_p5": rep5.converged},
+           "converged_p1": rep1.converged, "converged_p5": rep5.converged,
+           "short_od_pairs": _short_od_pairs(cfg, routing)},
     )
     write_runrecord(os.path.join(out_dir, "runrecord.txt"), cfg, seed, metrics,
                     wall_time=time.perf_counter() - start)
@@ -744,7 +754,8 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
     if guard_tripped:
         out["omitted"] = "incoherences,tau,lambda_range,certificate (size guard)"
     else:
-        m = measure_incoherences(routing, obs.mask, bundle)
+        bases = instance_bases(routing, obs.mask, bundle)  # shared by measures and certificate
+        m = measure_incoherences(routing, obs.mask, bundle, bases)
         rep = check_recovery_conditions(
             m["alpha"], m["beta"], m["xi"], m["nu"], m["eta"], m["tau"],
             m["gamma"], m["k_max_col"], mu_npi_omega=m["mu_npi_omega"],
@@ -762,7 +773,8 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
         lam = lam if lam is not None else default_lambda(F, T)
         out["certificate_lambda"] = lam
         try:
-            cert = dual_certificate(routing, obs.mask, bundle, lam, sign_A0=truth.anomalies)
+            cert = dual_certificate(routing, obs.mask, bundle, lam, sign_A0=truth.anomalies,
+                                    bases=bases)
         except NotLocallyIdentifiableError:
             out["certificate_passes"] = False
             out["certificate_error"] = "not locally identifiable"

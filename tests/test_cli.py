@@ -1,8 +1,11 @@
+import gc
 import os
 import re
 import subprocess
 import sys
 import warnings
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from trafficmaps.mm import MmConfig, mm_solve
 from trafficmaps.model import DivergenceError
 from trafficmaps.pipelines import (
     ExperimentConfig,
+    build_network,
     cmd_burst_compare,
     cmd_netflow_sweep,
     cmd_phase_grid,
@@ -539,6 +543,17 @@ class TestNetflowSweep:
             for low, high in zip(masks, masks[1:]):
                 assert (low <= high).all() and low.sum() < high.sum()
 
+    def test_records_path_shortfall(self, tmp_path, monkeypatch):
+        # With 3 paths per OD pair the two replica networks (seeds 3 and 20)
+        # have 0 and 5 short pairs, and every pi draws the same two networks.
+        calls = record_scenarios(monkeypatch)
+        cfg = dict(self.TINY_SWEEP, **{"synth.radius": 0.55, "synth.flows": 20,
+                                       "synth.paths": 3, "solver.max_iters": 20})
+        cmd_netflow_sweep(ExperimentConfig(dict(cfg, threads=2)), str(tmp_path / "nf"))
+        assert {(seed, int((sc.routing.disjoint_paths < 3).sum()))
+                for _, seed, sc in calls} == {(3, 0), (20, 5)}
+        assert read_manifest(tmp_path / "nf" / "runrecord.txt")["short_od_pairs"] == "5"
+
     def test_all_zero_anomalies_keep_finished_cells(self, tmp_path, capsys):
         cfg = "".join(f"{k}={v}\n" for k, v in self.TINY_SWEEP.items())
         sweep = write_cfg(tmp_path / "sweep.txt", cfg.replace("anomaly_prob=0.05", "anomaly_prob=0"))
@@ -584,6 +599,18 @@ class TestBurstCompare:
             converged = compare[f"converged_{kind}"]
             assert converged in ("True", "False")
             assert converged == "True" or int(compare[f"iters_{kind}"]) == cap
+
+
+    def test_records_path_shortfall(self, tmp_path):
+        # 4 of the 20 OD pairs of this network get fewer than 3 disjoint paths.
+        cfg = ExperimentConfig({
+            "seed": 0, "synth.nodes": 10, "synth.radius": 0.55, "synth.flows": 20,
+            "synth.periods": 12, "synth.paths": 3, "burst.days": 3, "burst.n_anomalous": 2,
+            "solver.rho": 2, "solver.max_iters": 20, "solver.mm_max_iters": 20,
+        })
+        cmd_burst_compare(cfg, str(tmp_path / "burst"))
+        assert (build_network(cfg, 0).disjoint_paths < 3).sum() == 4
+        assert read_manifest(tmp_path / "burst" / "compare.txt")["short_od_pairs"] == "4"
 
 
 P5_WEIGHTS = {"solver.lambda_star": 0.01, "solver.lambda_1": 0.01}
@@ -730,6 +757,46 @@ class TestDiagnoseCommand:
             assert main(["diagnose", "--config", dcfg, "--out", str(tmp_path / name)]) == 0
             reports.append((tmp_path / name / "diagnose.txt").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_bases_built_once(self, tmp_path, monkeypatch):
+        # One diagnose computes one kernel per column with hidden flows, plus
+        # the kernels of R and of U0', builds the tangent basis and the
+        # intersection once and the support basis once (omega_basis runs a
+        # second time for the support's hidden part), and keeps none of them
+        # after it returns.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("_null_space", "phi_basis", "omega_basis", "intersect_nullspaces"):
+            monkeypatch.setattr(diagnostics, name, counted(name, getattr(diagnostics, name)))
+        built = []
+
+        def recorded(*args):
+            bases = diagnostics.instance_bases(*args)
+            built.append(weakref.ref(bases))
+            return bases
+
+        monkeypatch.setattr(pipelines, "instance_bases", recorded)
+        cfg = write_cfg(tmp_path / "cfg.txt",
+                        "seed=1\nsynth.nodes=8\nsynth.radius=0.5\nsynth.flows=20\n"
+                        "synth.periods=20\nsynth.rank=2\nsynth.anomaly_prob=0.01\n"
+                        "synth.paths=1\nsynth.sample_prob=0.25\n")
+        scn = tmp_path / "scn"
+        assert main(["synth", "--config", cfg, "--out", str(scn)]) == 0
+        dcfg = write_cfg(tmp_path / "d.txt", f"io.scenario={scn}\n")
+        assert main(["diagnose", "--config", dcfg, "--out", str(tmp_path / "diag")]) == 0
+        assert "certificate_passes" in read_manifest(tmp_path / "diag" / "diagnose.txt")
+        hidden_columns = int((~load_scenario(str(scn))[1].mask.mask).any(axis=0).sum())
+        assert hidden_columns > 0
+        assert calls == {"_null_space": hidden_columns + 2, "phi_basis": 1,
+                         "omega_basis": 2, "intersect_nullspaces": 1}
+        gc.collect()
+        assert len(built) == 1 and built[0]() is None
 
     def test_size_guard_exit_code_with_partial_report(self, tmp_path):
         big = write_cfg(

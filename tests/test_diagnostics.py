@@ -328,13 +328,13 @@ class TestGammas:
 
 class TestTau:
     def test_trivial_intersection(self):
-        assert tau(np.eye(3), SamplingMask(np.zeros((3, 2), bool))) == 0.0
+        assert tau(intersect_nullspaces(np.eye(3), SamplingMask(np.zeros((3, 2), bool)))) == 0.0
 
     def test_one_dimensional_exact(self):
         R = np.array([[1.0, 1.0]])
         mask = SamplingMask(np.zeros((2, 1), bool))
         # unique direction (1,-1)/sqrt(2), unit spectral norm; tau = max entry
-        assert tau(R, mask) == pytest.approx(1 / np.sqrt(2), rel=1e-9)
+        assert tau(intersect_nullspaces(R, mask)) == pytest.approx(1 / np.sqrt(2), rel=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 6])  # intersection dimension 2, 7, 5, 1
     def test_brute_force_single_column_elements(self, seed):
@@ -343,8 +343,8 @@ class TestTau:
         # t's part of the intersection reaches it for some (f, t).
         R, _, _, mask, _ = tiny_instance(seed, pi=0.3)
         F, T = mask.shape
-        value = tau(R, mask)
         basis = intersect_nullspaces(R, mask)
+        value = tau(basis)
         assert basis.dim > 0
         V = basis.vectors.reshape(F, T, basis.dim)
         rng = np.random.default_rng(seed)
@@ -386,14 +386,14 @@ class TestTau:
         # 256 random probes and a Nelder-Mead polish found 0.72609 here.
         R, mask = self.diagnose_scale_instance(2)
         assert intersect_nullspaces(R, mask).dim == 42
-        assert tau(R, mask) >= 0.7385
+        assert tau(intersect_nullspaces(R, mask)) >= 0.7385
 
     def test_relabelling_invariant(self):
         R, mask = self.diagnose_scale_instance(2)
         rng = np.random.default_rng(0)
         flows, periods = rng.permutation(20), rng.permutation(20)
-        relabelled = tau(R[:, flows], SamplingMask(mask.mask[flows][:, periods]))
-        assert abs(relabelled - tau(R, mask)) <= 1e-15
+        relabelled = intersect_nullspaces(R[:, flows], SamplingMask(mask.mask[flows][:, periods]))
+        assert abs(tau(relabelled) - tau(intersect_nullspaces(R, mask))) <= 1e-15
 
 
 class TestRecoveryConditions:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,53 @@ class TestTypes:
                 links=((0, 1), (1, 2)),
                 node_count=3,
             )
+
+    def test_routing_conservation_names_first_violation(self):
+        # On the line 0-1-2-3, flow 0 loses half at node 2 and flow 1 half at
+        # node 1: the message names flow 0 first, not node 1 first.
+        with pytest.raises(ValueError) as err:
+            RoutingMatrix(
+                entries=np.array([[1.0, 1.0], [1.0, 0.5], [0.5, 0.5]]),
+                od_pairs=((0, 3), (0, 3)),
+                links=((0, 1), (1, 2), (2, 3)),
+                node_count=4,
+            )
+        assert str(err.value) == ("flow conservation violated for flow 0 at node 2: "
+                                  "in=1.000e+00 out=5.000e-01")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_routing_conservation_matches_loop_reference(self, seed):
+        # Multipath routings with a few entries moved: the check names the
+        # violation that a loop over flows, then nodes, finds first.
+        from trafficmaps.pipelines import ExperimentConfig, build_network
+
+        cfg = ExperimentConfig({"synth.nodes": 10, "synth.radius": 0.6,
+                                "synth.flows": 12, "synth.paths": 2})
+        good = build_network(cfg, seed)
+
+        def first_violation(R):
+            for f, (o, d) in enumerate(good.od_pairs):
+                for n in range(good.node_count):
+                    flow_in = sum(R[i, f] for i, (_, b) in enumerate(good.links) if b == n)
+                    flow_out = sum(R[i, f] for i, (a, _) in enumerate(good.links) if a == n)
+                    if n not in (o, d) and abs(flow_in - flow_out) > 1e-9:
+                        return f"flow {f} at node {n}"
+            return None
+
+        rng = np.random.default_rng(seed)
+        raised = 0
+        for _ in range(20):
+            R = good.entries.copy()
+            for _ in range(rng.integers(1, 4)):
+                R[rng.integers(R.shape[0]), rng.integers(R.shape[1])] = rng.choice([0.0, 0.5, 1.0])
+            try:
+                RoutingMatrix(R, good.od_pairs, good.links, good.node_count)
+                named = None
+            except ValueError as exc:
+                named = re.search(r"flow \d+ at node \d+", str(exc)).group()
+                raised += 1
+            assert named == first_violation(R)
+        assert raised > 0
 
     def test_routing_valid_path(self):
         r = RoutingMatrix(
