@@ -600,7 +600,6 @@ class TestBurstCompare:
             assert converged in ("True", "False")
             assert converged == "True" or int(compare[f"iters_{kind}"]) == cap
 
-
     def test_records_path_shortfall(self, tmp_path):
         # 4 of the 20 OD pairs of this network get fewer than 3 disjoint paths.
         cfg = ExperimentConfig({

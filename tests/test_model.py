@@ -17,6 +17,7 @@ from trafficmaps.model import (
     relative_errors,
     subspace_bundle,
 )
+from trafficmaps.pipelines import ExperimentConfig, build_network
 
 
 def random_bundle(F, T, r, seed=0):
@@ -182,8 +183,6 @@ class TestTypes:
     def test_routing_conservation_matches_loop_reference(self, seed):
         # Multipath routings with a few entries moved: the check names the
         # violation that a loop over flows, then nodes, finds first.
-        from trafficmaps.pipelines import ExperimentConfig, build_network
-
         cfg = ExperimentConfig({"synth.nodes": 10, "synth.radius": 0.6,
                                 "synth.flows": 12, "synth.paths": 2})
         good = build_network(cfg, seed)
