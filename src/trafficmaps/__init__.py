@@ -64,6 +64,7 @@ from .diagnostics import (
     dual_certificate,
     demonstrate_nonidentifiability,
     gammas,
+    instance_bases,
     mu,
     tau,
     check_recovery_conditions,

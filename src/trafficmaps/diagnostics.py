@@ -14,8 +14,8 @@
 
 Steps 1 and 3 use the same support, tangent and intersection bases.
 `instance_bases` builds them once (one per-column kernel pass, one tangent
-basis, one support basis), and both steps accept the result; each builds its
-own when given none.
+basis, one support basis), and both steps require the result.  Every dense
+basis comes from a builder that checks the size guard before it allocates.
 
 The anomaly support is the bundle's read-only boolean F-by-T matrix; a support
 basis orders its cells row-major.
@@ -311,22 +311,21 @@ def check_recovery_conditions(
     k = int(k_max_col)
     reason = ""
     if f <= 0:
-        return IncoherenceReport(
-            alpha, beta, xi, nu, eta, tau, gamma, k, chi, f, g, h, q, e,
-            lambda_min=np.nan, lambda_max=np.nan, feasible=False, reason="f <= 0",
-        )
-    num_max = 1.0 - alpha - alpha**3 * one_m_a2 - g * e / f
-    den_max = 1.0 + alpha**2 * one_m_a2 + h * e / f
-    if k > 0:
-        lam_max = (num_max / den_max) / k
+        lam_min = lam_max = np.nan
+        reason = "f <= 0"
     else:
-        lam_max = np.inf if num_max > 0 else -np.inf
-    den_min = 1.0 - eta * alpha * k - k * q * h / f
-    if den_min <= 0:
-        lam_min = np.inf
-        reason = "lambda_min denominator <= 0"
-    else:
-        lam_min = (gamma + q * g / f) / den_min
+        num_max = 1.0 - alpha - alpha**3 * one_m_a2 - g * e / f
+        den_max = 1.0 + alpha**2 * one_m_a2 + h * e / f
+        if k > 0:
+            lam_max = (num_max / den_max) / k
+        else:
+            lam_max = np.inf if num_max > 0 else -np.inf
+        den_min = 1.0 - eta * alpha * k - k * q * h / f
+        if den_min <= 0:
+            lam_min = np.inf
+            reason = "lambda_min denominator <= 0"
+        else:
+            lam_min = (gamma + q * g / f) / den_min
     feasible = bool(chi < 1.0 and f > 0 and lam_max > lam_min >= 0)
     if not feasible and not reason:
         if chi >= 1.0:
@@ -341,18 +340,15 @@ def check_recovery_conditions(
 
 
 def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle,
-                         bases: InstanceBases | None = None) -> dict:
-    """All subspace measures needed by the recovery checker, as a dict.
+                         bases: InstanceBases) -> dict:
+    """The arguments of `check_recovery_conditions`, as a dict.
 
     Every measure is exact: the incoherences are principal-angle cosines and
     `tau` is the closed-form row-norm maximum, so none depends on a random
     draw, and relabelling flows or periods moves them only by rounding.
-    `bases` are the instance's shared bases, built here when not given.
+    `bases` are the instance's shared bases from `instance_bases`.
     """
-    F, T = bundle.shape
-    _check_size(F, T)
-    if bases is None:
-        bases = instance_bases(routing, mask, bundle)
+    T = bundle.shape[1]
     # The nullspace bases are the largest here, so each is dropped after its use.
     nr = nullspace_R_basis(routing, T)
     beta, nu = mu(bases.omega, nr), mu(nr, omega_basis(bundle.support & ~mask.mask))
@@ -360,19 +356,17 @@ def measure_incoherences(routing, mask: SamplingMask, bundle: SubspaceBundle,
     npi = nullspace_Pi_basis(mask)
     xi, mu_npi_omega = mu(npi, bases.phi), mu(npi, bases.omega)
     del npi
-    g_u, g_v, g_uv, eta = gammas(bundle)
+    _, _, gamma, eta = gammas(bundle)
     return {
         "alpha": mu(bases.omega, bases.phi),
         "beta": beta,
         "xi": xi,
         "nu": nu,
-        "mu_npi_omega": mu_npi_omega,
         "eta": eta,
-        "gamma": g_uv,
-        "gamma_u": g_u,
-        "gamma_v": g_v,
         "tau": tau(bases.inter),
+        "gamma": gamma,
         "k_max_col": int(bundle.support.sum(axis=0).max(initial=0)),
+        "mu_npi_omega": mu_npi_omega,
         "null_intersection_dim": bases.inter.dim,
     }
 
@@ -423,9 +417,8 @@ class CertificateReport:
         return self.c1_ok and self.c2_ok and self.c3_ok and self.c4_ok and self.c5_ok
 
 
-def dual_certificate(routing, mask: SamplingMask, bundle: SubspaceBundle, lam: float,
-                     sign_A0: np.ndarray | None = None,
-                     bases: InstanceBases | None = None) -> CertificateReport:
+def dual_certificate(bundle: SubspaceBundle, lam: float, bases: InstanceBases,
+                     sign_A0: np.ndarray | None = None) -> CertificateReport:
     """Construct and verify the dual certificate for one instance.
 
     Solves for the unique Gamma in Omega + Phi + (N_R cap N_Pi) whose
@@ -433,19 +426,16 @@ def dual_certificate(routing, mask: SamplingMask, bundle: SubspaceBundle, lam: f
     space, and zero on the nullspace intersection; then checks the strict
     norm bounds.  `sign_A0` supplies the anomaly signs (defaults to +1 on the
     support, which matches anomalies known to be nonnegative).  `bases` are
-    the instance's shared bases, built here when not given.
+    the instance's shared bases from `instance_bases`.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     F, T = bundle.shape
-    _check_size(F, T)
     support = bundle.support
     sign_target = np.where(support, 1.0 if sign_A0 is None else np.sign(sign_A0), 0.0)
     if not sign_target[support].all():
         raise ValueError("sign matrix is zero on part of the support")
 
-    if bases is None:
-        bases = instance_bases(routing, mask, bundle)
     omega, phi, inter = bases.omega, bases.phi, bases.inter
     M = np.column_stack([b.vectors for b in (omega, phi, inter) if b.dim > 0])
     if M.shape[1] == 0:

@@ -232,17 +232,17 @@ def _extrapolate(state: FactorState, prev: FactorState, w: float) -> FactorState
 
 
 def mm_solve(obs: Observations, routing, corr: CorrelationSet,
-             cfg: MmConfig | None = None, seed: int = 0,
-             init: FactorState | None = None):
+             cfg: MmConfig | None = None, init: FactorState | None = None):
     """Run the alternating MM scheme to a stationary point.
 
     Returns (X_hat, A_hat, report); the report carries the monotone objective
     trajectory.  From iteration 2 on the iterate is extrapolated Nesterov-style,
     with a plain step instead whenever the objective would rise.  The prior solves of
     the current and previous states are carried along, so the solver makes
-    4 + 4 * (iterations + restarts) prior solves in all.  An `init` must hold
-    an F-by-rho L, a T-by-rho Q and F-by-T B and C; it is read as C-contiguous
-    float64 arrays.
+    4 + 4 * (iterations + restarts) prior solves in all.  The iterate starts
+    at `init`, which must hold an F-by-rho L, a T-by-rho Q and F-by-T B and C
+    and is read as C-contiguous float64 arrays, or else at `init_state(F, T,
+    cfg)`.
     """
     cfg = cfg or MmConfig()
     F, T = obs.flow_counts.shape
@@ -253,7 +253,7 @@ def mm_solve(obs: Observations, routing, corr: CorrelationSet,
         init = FactorState(**{b: np.ascontiguousarray(getattr(init, b), dtype=np.float64)
                               for b in _BLOCKS})
     gram_norm = gram_spectral_norm(routing)
-    state = init if init is not None else init_state(F, T, cfg, seed)
+    state = init if init is not None else init_state(F, T, cfg)
     solves = prior_solves(state, corr)
     obj = _objective(state, solves, residuals(state, obs, routing), cfg)
     objectives = [obj]

@@ -57,6 +57,18 @@ def _frozen_array(a, dtype=np.float64) -> np.ndarray:
     return out
 
 
+def _node_pairs(pairs, node_count: int, what: str) -> tuple[tuple[int, int], ...]:
+    """Node-id pairs as ints; every id must be a finite integer in
+    [0, node_count), and the first pair that is not is reported."""
+    ids = np.asarray(pairs, dtype=np.float64).reshape(len(pairs), 2)
+    # written so that a NaN id, which fails every comparison, fails the check
+    ok = (ids == np.floor(ids)) & (ids >= 0) & (ids < node_count)
+    if not ok.all():
+        a, b = ids[np.flatnonzero(~ok.all(axis=1))[0]]
+        raise ValueError(f"{what} ({a:g},{b:g}): node ids must be integers in [0, {node_count})")
+    return tuple(map(tuple, ids.astype(int).tolist()))
+
+
 @dataclass(frozen=True)
 class Topology:
     """Directed graph of routers: `node_count` nodes and a fixed link order.
@@ -73,12 +85,10 @@ class Topology:
     def __post_init__(self):
         if self.node_count < 2:
             raise ValueError("topology needs at least 2 nodes")
-        links = tuple((int(a), int(b)) for a, b in self.links)
+        links = _node_pairs(self.links, self.node_count, "link")
         for a, b in links:
             if a == b:
                 raise ValueError(f"self-loop link ({a},{b}) not allowed")
-            if not (0 <= a < self.node_count and 0 <= b < self.node_count):
-                raise ValueError(f"link ({a},{b}) references invalid node")
         object.__setattr__(self, "links", links)
         if self.coords is not None:
             coords = _frozen_array(self.coords)
@@ -117,8 +127,8 @@ class RoutingMatrix:
         if entries.size and not (entries.min() >= -ZERO_ATOL and entries.max() <= 1 + ZERO_ATOL):
             raise ValueError("routing fractions must lie in [0, 1]")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "od_pairs", tuple((int(o), int(d)) for o, d in self.od_pairs))
-        object.__setattr__(self, "links", tuple((int(a), int(b)) for a, b in self.links))
+        object.__setattr__(self, "od_pairs", _node_pairs(self.od_pairs, self.node_count, "OD pair"))
+        object.__setattr__(self, "links", _node_pairs(self.links, self.node_count, "link"))
         self._check_conservation()
 
     @property

@@ -756,14 +756,8 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
     else:
         bases = instance_bases(routing, obs.mask, bundle)  # shared by measures and certificate
         m = measure_incoherences(routing, obs.mask, bundle, bases)
-        rep = check_recovery_conditions(
-            m["alpha"], m["beta"], m["xi"], m["nu"], m["eta"], m["tau"],
-            m["gamma"], m["k_max_col"], mu_npi_omega=m["mu_npi_omega"],
-            null_intersection_dim=m["null_intersection_dim"],
-        )
-        for key in ("alpha", "beta", "xi", "nu", "eta", "tau", "gamma",
-                    "k_max_col", "null_intersection_dim"):
-            out[key] = m[key]
+        rep = check_recovery_conditions(**m)
+        out.update(m)
         out["chi"] = rep.chi
         out["lambda_min"] = rep.lambda_min
         out["lambda_max"] = rep.lambda_max
@@ -773,8 +767,7 @@ def cmd_diagnose(cfg: ExperimentConfig, out_dir: str) -> dict:
         lam = lam if lam is not None else default_lambda(F, T)
         out["certificate_lambda"] = lam
         try:
-            cert = dual_certificate(routing, obs.mask, bundle, lam, sign_A0=truth.anomalies,
-                                    bases=bases)
+            cert = dual_certificate(bundle, lam, bases, sign_A0=truth.anomalies)
         except NotLocallyIdentifiableError:
             out["certificate_passes"] = False
             out["certificate_error"] = "not locally identifiable"

@@ -29,6 +29,7 @@ from trafficmaps.diagnostics import (
     NotLocallyIdentifiableError,
     dual_certificate,
     check_recovery_conditions,
+    instance_bases,
 )
 from trafficmaps.fileio import read_manifest, read_matrix, write_matrix
 from trafficmaps.mm import (
@@ -155,7 +156,7 @@ def test_criterion_04_bilinear_convex_equivalence():
         corr = CorrelationSet.identity(12, 12)
         cfgm = MmConfig(rho=rho, lambda_star=lam_s, lambda_1=lam_1,
                         max_iters=40000, tol=1e-12)
-        _, _, repm = mm_solve(obs, routing, corr, cfgm, seed=seed)
+        _, _, repm = mm_solve(obs, routing, corr, cfgm, init=init_state(*obs.shape, cfgm, seed))
         rel = abs(repm.objectives[-1] - rep1.objective) / abs(rep1.objective)
         worst = max(worst, rel)
         assert rel < 1e-4, f"seed {seed}: relative gap {rel:.2e}"
@@ -278,9 +279,10 @@ def test_criterion_09_recovery_checker_and_certificate_consistency():
     for seed in range(50):
         R, X0, A0, mask, obs = tiny_instance(seed)
         bundle = subspace_bundle(X0, A0)
+        bases = instance_bases(R, mask, bundle)
         for lam in (0.25, 0.4, 0.6):
             try:
-                cert = dual_certificate(R, mask, bundle, lam, sign_A0=A0)
+                cert = dual_certificate(bundle, lam, bases, sign_A0=A0)
             except NotLocallyIdentifiableError:
                 break
             if not cert.passes:

@@ -107,6 +107,25 @@ class TestSynthCommand:
         assert int(manifest["links"]) > 150
         assert 0 < int(manifest["nullspace_dim"]) < 290
 
+    def test_structured_mask(self, tmp_path):
+        # round(row_miss * F) = 6 of the 24 flows are never sampled; the
+        # others are sampled at time_prob, not at synth.sample_prob=0.4.
+        cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH + (
+            "synth.mask=structured\nsynth.row_miss=0.25\nsynth.time_prob=0.8\n"))
+        out = tmp_path / "scn"
+        assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
+        mask = read_mask(out / "mask.csv")
+        unsampled = ~mask.any(axis=1)
+        assert unsampled.sum() == round(0.25 * 24)
+        assert mask[~unsampled].mean() == pytest.approx(0.8, abs=0.08)
+
+    def test_unknown_mask_kind_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH + "synth.mask=grid\n")
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "scn")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid scenario parameters: synth.mask must be bernoulli or structured, "
+            "got 'grid'"]
+
     def test_scenario_round_trip(self, tmp_path):
         cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH)
         out = tmp_path / "scn"
@@ -280,6 +299,32 @@ class TestSolveCommand:
         Y[0, 0] = np.nan
         write_matrix(scn / "link_counts.csv", Y)
 
+    @staticmethod
+    def _rewrite_endpoint(scn, node, value):
+        """Writes `value` over the first link endpoint that is `node`; returns
+        the link as an error message prints it."""
+        links = read_matrix(scn / "topology.csv")
+        i, j = np.argwhere(links == node)[0]
+        links[i, j] = value
+        write_matrix(scn / "topology.csv", links)
+        return f"({links[i, 0]:g},{links[i, 1]:g})"
+
+    @staticmethod
+    def _endpoint_out_of_range(scn):
+        return TestSolveCommand._rewrite_endpoint(scn, 0, 99)
+
+    @staticmethod
+    def _endpoint_inf(scn):
+        return TestSolveCommand._rewrite_endpoint(scn, 0, np.inf)
+
+    @staticmethod
+    def _endpoint_fraction(scn):  # would truncate to node 0
+        return TestSolveCommand._rewrite_endpoint(scn, 0, 0.5)
+
+    @staticmethod
+    def _endpoint_negative(scn):  # would wrap to the last node, 9
+        return TestSolveCommand._rewrite_endpoint(scn, 9, -1)
+
     @pytest.mark.parametrize("command", ["solve", "diagnose"])
     @pytest.mark.parametrize("defect, message", [
         ("_drop_od_pairs", "manifest.txt has no od_pairs entry"),
@@ -288,10 +333,14 @@ class TestSolveCommand:
         ("_short_truth", "the ground-truth and flow-count matrices differ in shape"),
         ("_nan_routing", "routing fractions must lie in [0, 1]"),
         ("_nan_link_count", "link and flow counts must be finite"),
+        ("_endpoint_out_of_range", "link {link}: node ids must be integers in [0, 10)"),
+        ("_endpoint_inf", "link {link}: node ids must be integers in [0, 10)"),
+        ("_endpoint_fraction", "link {link}: node ids must be integers in [0, 10)"),
+        ("_endpoint_negative", "link {link}: node ids must be integers in [0, 10)"),
     ])
     def test_inconsistent_scenario_is_parse_error(self, tmp_path, scenario_dir, capsys,
                                                   command, defect, message):
-        getattr(self, defect)(scenario_dir)
+        message = message.format(link=getattr(self, defect)(scenario_dir))
         cfg = write_cfg(tmp_path / "solve.txt", f"io.scenario={scenario_dir}\n")
         capsys.readouterr()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
@@ -653,7 +702,7 @@ class TestBurstInterpolation:
             routing, X_train, truth, bp, obs = build_burst_scenario(cfg, seed)
             corr = learn_burst_correlations(X_train, bp, 48, 5)
             X1, _, _, _ = run_solver("p1", obs, routing, cfg)
-            X5, _, _ = mm_solve(obs, routing, corr, _mm_config(cfg.with_values(P5_WEIGHTS)), seed=0)
+            X5, _, _ = mm_solve(obs, routing, corr, _mm_config(cfg.with_values(P5_WEIGHTS)))
             hidden = np.flatnonzero((~obs.mask.mask).all(axis=1))
             for f in hidden:
                 p1_rhos.append(self._pearson(X1[f], truth.nominal[f]))
@@ -686,7 +735,7 @@ class TestBurstInterpolation:
             routing, X_train, truth, bp, obs = build_burst_scenario(cfg, seed)
             corr = learn_burst_correlations(X_train, bp, 48, 5)
             X1, A1, _, _ = run_solver("p1", obs, routing, cfg)
-            X5, A5, _ = mm_solve(obs, routing, corr, _mm_config(cfg.with_values(P5_WEIGHTS)), seed=0)
+            X5, A5, _ = mm_solve(obs, routing, corr, _mm_config(cfg.with_values(P5_WEIGHTS)))
             e1 = relative_errors(TrafficMatrices(X1, A1), truth)
             e5 = relative_errors(TrafficMatrices(X5, A5), truth)
             assert e1[0] < 0.1 and e5[0] < 0.1

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from trafficmaps.diagnostics import (
     demonstrate_nonidentifiability,
     dual_certificate,
     gammas,
+    instance_bases,
     intersect_nullspaces,
     measure_incoherences,
     mu,
@@ -521,7 +523,7 @@ class TestDualCertificate:
         mask = SamplingMask(np.ones((F, T), bool))
         uv = b.U0 @ b.V0.T
         lam = np.abs(uv).max() * 1.5
-        cert = dual_certificate(np.eye(F), mask, b, lam)
+        cert = dual_certificate(b, lam, instance_bases(np.eye(F), mask, b))
         assert np.allclose(cert.gamma_matrix, uv, atol=1e-9)
         assert cert.passes
 
@@ -530,7 +532,7 @@ class TestDualCertificate:
         b = random_bundle(F, T, 2, seed=10)
         mask = SamplingMask(np.ones((F, T), bool))
         uv = b.U0 @ b.V0.T
-        cert = dual_certificate(np.eye(F), mask, b, np.abs(uv).max() * 0.5)
+        cert = dual_certificate(b, np.abs(uv).max() * 0.5, instance_bases(np.eye(F), mask, b))
         assert not cert.c5_ok
 
     def test_overlapping_subspaces_raise(self):
@@ -538,16 +540,18 @@ class TestDualCertificate:
         b = canonical_bundle(F, T)  # column/row space spanned by e1
         bundle = SubspaceBundle(b.U0, b.V0, cells((F, T), {(0, 0)}))  # omega inside phi
         mask = SamplingMask(np.ones((F, T), bool))
+        bases = instance_bases(np.eye(F), mask, bundle)
         with pytest.raises(NotLocallyIdentifiableError):
-            dual_certificate(np.eye(F), mask, bundle, 0.5)
+            dual_certificate(bundle, 0.5, bases)
 
     def test_zero_sign_on_support_raises(self):
         F = T = 5
         b = random_bundle(F, T, 1, support={(1, 2), (3, 0)}, seed=9)
         mask = SamplingMask(np.ones((F, T), bool))
         signs = cells((F, T), {(1, 2)}).astype(float)  # zero at (3, 0)
+        bases = instance_bases(np.eye(F), mask, b)
         with pytest.raises(ValueError, match="sign"):
-            dual_certificate(np.eye(F), mask, b, 0.5, sign_A0=signs)
+            dual_certificate(b, 0.5, bases, sign_A0=signs)
 
     def test_battery_certificate_implies_recovery(self):
         n_pass = 0
@@ -555,7 +559,7 @@ class TestDualCertificate:
             R, X0, A0, mask, obs = tiny_instance(seed)
             bundle = subspace_bundle(X0, A0)
             try:
-                cert = dual_certificate(R, mask, bundle, 0.4, sign_A0=A0)
+                cert = dual_certificate(bundle, 0.4, instance_bases(R, mask, bundle), sign_A0=A0)
             except NotLocallyIdentifiableError:
                 continue
             if not cert.passes:
@@ -585,15 +589,11 @@ class TestDualCertificate:
         mask = SamplingMask(np.ones((F, T), bool))
         R = np.eye(F)
         bundle = subspace_bundle(X0, A0)
-        m = measure_incoherences(R, mask, bundle)
-        rep = check_recovery_conditions(
-            m["alpha"], m["beta"], m["xi"], m["nu"], m["eta"], m["tau"],
-            m["gamma"], m["k_max_col"], mu_npi_omega=m["mu_npi_omega"],
-            null_intersection_dim=m["null_intersection_dim"],
-        )
+        bases = instance_bases(R, mask, bundle)
+        rep = check_recovery_conditions(**measure_incoherences(R, mask, bundle, bases))
         assert rep.feasible
         lam = 0.5 * (rep.lambda_min + rep.lambda_max)
-        cert = dual_certificate(R, mask, bundle, lam, sign_A0=A0)
+        cert = dual_certificate(bundle, lam, bases, sign_A0=A0)
         assert cert.passes
         obs = observe(R, X0, A0, mask)
         X, A, _ = admm_solve_p2(
@@ -605,10 +605,9 @@ class TestDualCertificate:
     def test_measures_keys(self):
         R, X0, A0, mask, _ = tiny_instance(3)
         bundle = subspace_bundle(X0, A0)
-        m = measure_incoherences(R, mask, bundle)
-        for key in ("alpha", "beta", "xi", "nu", "eta", "tau", "gamma",
-                    "k_max_col", "mu_npi_omega", "null_intersection_dim"):
-            assert key in m
+        m = measure_incoherences(R, mask, bundle, instance_bases(R, mask, bundle))
+        # exactly the arguments of the recovery check
+        assert list(m) == list(inspect.signature(check_recovery_conditions).parameters)
         assert 0.0 <= m["alpha"] <= 1.0
         assert m["k_max_col"] == max(np.count_nonzero(A0[:, t]) for t in range(8))
 
@@ -625,8 +624,9 @@ def test_diagnostics_peak_memory_stays_near_one_sampling_basis():
     npi_bytes = nullspace_Pi_basis(mask).vectors.nbytes
     tracemalloc.start()
     try:
-        measure_incoherences(routing, mask, bundle)
-        dual_certificate(routing, mask, bundle, default_lambda(40, 40), sign_A0=truth.anomalies)
+        bases = instance_bases(routing, mask, bundle)
+        measure_incoherences(routing, mask, bundle, bases)
+        dual_certificate(bundle, default_lambda(40, 40), bases, sign_A0=truth.anomalies)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

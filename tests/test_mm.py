@@ -318,7 +318,7 @@ class TestMmSolve:
         obs = Observations(np.zeros((3, 6)), np.zeros((5, 6)), mask)
         corr = CorrelationSet.identity(5, 6)
         cfg = MmConfig(rho=2, lambda_star=0.5, lambda_1=0.5, max_iters=2000, tol=1e-14)
-        X, A, rep = mm_solve(obs, R, corr, cfg, seed=1)
+        X, A, rep = mm_solve(obs, R, corr, cfg, init=init_state(*obs.shape, cfg, 1))
         assert rep.objectives[-1] < 1e-2 * rep.objectives[0]
         assert np.abs(X).max() < 0.2
 
@@ -326,7 +326,7 @@ class TestMmSolve:
         r, obs = equivalence_instance(0)
         corr = CorrelationSet.identity(12, 12)
         cfg = MmConfig(rho=2, lambda_star=0.3, lambda_1=0.1, max_iters=300, tol=0.0)
-        _, _, rep = mm_solve(obs, r, corr, cfg, seed=2)
+        _, _, rep = mm_solve(obs, r, corr, cfg, init=init_state(*obs.shape, cfg, 2))
         diffs = np.diff(rep.objectives)
         assert (diffs <= 1e-10 * (1 + np.abs(rep.objectives[1:]))).all()
 
@@ -340,7 +340,7 @@ class TestMmSolve:
         corr = CorrelationSet.identity(12, 12)
         cfgm = MmConfig(rho=rho, lambda_star=lam_s, lambda_1=lam_1,
                         max_iters=40000, tol=1e-12)
-        _, _, repm = mm_solve(obs, r, corr, cfgm, seed=3)
+        _, _, repm = mm_solve(obs, r, corr, cfgm, init=init_state(*obs.shape, cfgm, 3))
         assert repm.objectives[-1] == pytest.approx(rep1.objective, rel=1e-4)
 
     def test_multistart_objectives_agree(self):
@@ -349,7 +349,7 @@ class TestMmSolve:
         cfg = MmConfig(rho=3, lambda_star=0.3, lambda_1=0.1, max_iters=20000, tol=1e-12)
         finals = []
         for seed in (4, 5):
-            _, _, rep = mm_solve(obs, r, corr, cfg, seed=seed)
+            _, _, rep = mm_solve(obs, r, corr, cfg, init=init_state(*obs.shape, cfg, seed))
             finals.append(rep.objectives[-1])
         assert abs(finals[0] - finals[1]) <= 0.05 * min(finals)
 
@@ -452,7 +452,7 @@ class TestCachedPriorSolves:
     def test_matches_uncached_reference_loop(self, prior):
         R, obs, corr, cfg = self._problem(prior)
         objs, iters, restarts, converged = reference_mm_solve(obs, R, corr, cfg, seed=3)
-        _, _, rep = mm_solve(obs, R, corr, cfg, seed=3)
+        _, _, rep = mm_solve(obs, R, corr, cfg, init=init_state(*obs.shape, cfg, 3))
         assert (rep.iterations, rep.restarts, rep.converged) == (iters, restarts, converged)
         # An extrapolated point's solves are combined from cached ones, not
         # solved afresh.  random_corr's sign-flipped c row is clipped at the
@@ -469,7 +469,7 @@ class TestCachedPriorSolves:
                 calls.append(_name)
                 return _solve(self, M)
             monkeypatch.setattr(CorrelationSet, name, counted)
-        _, _, rep = mm_solve(obs, R, corr, cfg, seed=3)
+        _, _, rep = mm_solve(obs, R, corr, cfg, init=init_state(*obs.shape, cfg, 3))
         assert rep.restarts > 0
         assert len(calls) == 4 + 4 * rep.iterations + 4 * rep.restarts
 
