@@ -8,6 +8,7 @@ truth, 3 solver divergence, 4 size guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__, pipelines
@@ -45,6 +46,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trafficmaps",

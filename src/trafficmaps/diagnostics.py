@@ -5,7 +5,11 @@
    support, low-rank tangent space), each orthonormal by construction and
    checked so by the tests, give exact incoherence measures (principal-angle
    cosines) and the closed-form tau (the largest row norm of the per-column
-   nullspace bases, read off the intersection basis).
+   nullspace bases, read off the intersection basis).  Every incoherence
+   pairs a coordinate subspace (the support, the sampling nullspace or their
+   intersection) with another basis, so `mu` reads the other basis's rows at
+   the coordinate cells and takes sigma_max from the smaller Gram of that
+   block; a pair with no coordinate side is rejected.
 2. `check_recovery_conditions`: the Theorem's closed-form conditions, the
    feasible-lambda range, and (`IncoherenceReport.conditions`) theta with
    conditions (a) and (b) at one lambda.  This is the only copy of that algebra.
@@ -67,10 +71,14 @@ def _null_space(A: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a subspace of F-by-T matrices, vectorized columns.
-    Each builder below is orthonormal by construction; it is not re-checked."""
+    Each builder below is orthonormal by construction; it is not re-checked.
+    A coordinate subspace also records `cells`, the row-major flat indices of
+    its cells (column k of `vectors` is the unit vector at cells[k]); every
+    other subspace has None."""
 
     vectors: np.ndarray
     shape: tuple[int, int]
+    cells: np.ndarray | None = None
 
     def __post_init__(self):
         V = _frozen_array(self.vectors)
@@ -79,6 +87,8 @@ class SubspaceBasis:
             raise ValueError("basis rows must match the vectorized ambient space")
         object.__setattr__(self, "vectors", V)
         object.__setattr__(self, "shape", (int(F), int(T)))
+        if self.cells is not None:
+            object.__setattr__(self, "cells", _frozen_array(self.cells, np.intp))
 
     @property
     def dim(self) -> int:
@@ -99,7 +109,7 @@ def _coordinate_basis(cells: np.ndarray) -> SubspaceBasis:
     idx = np.flatnonzero(cells)
     V = np.zeros((F * T, idx.size))
     V[idx, np.arange(idx.size)] = 1.0
-    return SubspaceBasis(V, (F, T))
+    return SubspaceBasis(V, (F, T), idx)
 
 
 def nullspace_R_basis(routing, periods: int) -> SubspaceBasis:
@@ -169,13 +179,22 @@ def mu(sub_a: SubspaceBasis, sub_b: SubspaceBasis) -> float:
 
     For orthonormal bases this is the spectral norm of V_A' V_B, the cosine
     of the smallest principal angle between the subspaces (Bjorck and Golub,
-    1973), computed exactly.  Returns a value in [0, 1]; zero subspaces give 0.
+    1973).  One side must be a coordinate subspace S (`SubspaceBasis.cells`
+    set), so V_S' V_B is the other basis's rows at S's cells: the block is
+    read by row selection, and sigma_max^2 is the top eigenvalue of the
+    smaller of its two Grams, computed exactly.  A pair with no coordinate
+    side raises ValueError.  Returns a value in [0, 1]; zero subspaces give 0.
     """
     if sub_a.shape != sub_b.shape:
         raise ValueError("subspaces live in different ambient spaces")
-    if sub_a.dim == 0 or sub_b.dim == 0:
+    coord, other = (sub_a, sub_b) if sub_a.cells is not None else (sub_b, sub_a)
+    if coord.cells is None:
+        raise ValueError("mu needs a coordinate subspace on one side")
+    if coord.dim == 0 or other.dim == 0:
         return 0.0
-    return float(min(np.linalg.norm(sub_a.vectors.T @ sub_b.vectors, 2), 1.0))
+    block = other.vectors[coord.cells]
+    gram = block @ block.T if block.shape[0] <= block.shape[1] else block.T @ block
+    return float(np.sqrt(min(max(0.0, np.linalg.eigvalsh(gram)[-1]), 1.0)))
 
 
 def gammas(bundle: SubspaceBundle):

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import os
 import re
@@ -906,14 +907,33 @@ class TestCliPlumbing:
         assert codes == str([0] * len(runs))
         assert loaded == "[]"
 
-    def test_seed_override(self, tmp_path):
+    def test_one_parser_carries_no_state_between_commands(self, tmp_path, monkeypatch):
+        # One parser serves every main call of a process: a flag given to one
+        # command is not seen by the next, and a usage error leaves it usable.
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
         cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        main(["synth", "--config", cfg, "--out", str(out1), "--seed", "99"])
-        main(["synth", "--config", cfg, "--out", str(out2)])
+        out1, out2, out3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        try:
+            assert main(["synth", "--config", cfg, "--out", str(out1), "--seed", "7"]) == 0
+            assert main(["synth", "--config", cfg, "--out", str(out2)]) == 0
+            with pytest.raises(SystemExit):
+                main(["synth", "--config", cfg, "--out", str(out3), "--no-such-flag"])
+            assert main(["synth", "--config", cfg, "--out", str(out3)]) == 0
+        finally:
+            cli.build_parser.cache_clear()
         m1 = read_manifest(out1 / "manifest.txt")
         m2 = read_manifest(out2 / "manifest.txt")
-        assert m1["seed"] == "99" and m2["seed"] == "5"
+        assert m1["seed"] == "7" and m2["seed"] == "5"
+        # the subcommand parsers are named "trafficmaps <command>"
+        assert made.count("trafficmaps") == 1
 
     def test_solver_override(self, tmp_path):
         cfg = write_cfg(tmp_path / "cfg.txt", SMALL_SYNTH)

@@ -311,6 +311,24 @@ class TestMu:
         with pytest.raises(ValueError):
             mu(omega_basis(cells((3, 3), {(0, 0)})), omega_basis(cells((3, 4), {(0, 0)})))
 
+    @pytest.mark.parametrize("other", ["phi_basis", "nullspace_R_basis",
+                                       "intersect_nullspaces", "nullspace_Pi_basis"])
+    @pytest.mark.parametrize("coordinate_first", [True, False], ids=["S-first", "S-second"])
+    def test_row_selection_equals_dense_product(self, other, coordinate_first):
+        # V_S' V_B for a coordinate subspace S is B's rows at S's cells, and
+        # mu reads sigma_max off it from either argument position.
+        bases = built_bases(*basis_case("structured-mask"))
+        S, B = bases["omega_basis"], bases[other]
+        product = S.vectors.T @ B.vectors
+        assert np.array_equal(product, B.vectors[S.cells])
+        dense = np.linalg.svd(product, compute_uv=False)[0]
+        assert abs(mu(*((S, B) if coordinate_first else (B, S))) - dense) <= 1e-12
+
+    def test_pair_without_coordinate_side_rejected(self):
+        R, _, b = basis_case("rank-2")
+        with pytest.raises(ValueError, match="coordinate"):
+            mu(phi_basis(b), nullspace_R_basis(R, b.shape[1]))
+
 
 class TestGammas:
     def test_spiky_column_space(self):
