@@ -50,7 +50,6 @@ from .admm import (
 from .mm import FactorState, MmConfig, mm_solve, mm_step, p5_objective
 from .correlation import (
     CorrelationSet,
-    TrainingData,
     burst_correlations,
     condition_pd,
     corr_from_moments,

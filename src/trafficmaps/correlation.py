@@ -84,8 +84,8 @@ def _top_eig(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(M)[-1])
 
 
-def _prior_groups(rows: list) -> tuple:
-    """(flows, block, inv_norm) for each distinct first row.  `block` is the
+def _prior_groups(rows: np.ndarray) -> tuple:
+    """(flows, block, inv_norm) for each distinct row of `rows`.  `block` is the
     value of a diagonal row and the stored inverse of the PD-conditioned
     Toeplitz block otherwise; inv_norm is the spectral norm of the inverse."""
     flows_by_row: dict = {}
@@ -105,19 +105,20 @@ def _prior_groups(rows: list) -> tuple:
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """R_L, R_Q, and per-flow Toeplitz first rows for the anomaly blocks.
+    """R_L, R_Q, and the Toeplitz first rows of the anomaly blocks.
 
-    `anomaly_blocks[f]` is a pair (row_b, row_c) of length-T first rows.  The
-    prior solves apply stored inverses: R_L^{-1}, R_Q^{-1}, and one inverse of
-    the PD-conditioned Toeplitz block per distinct first row, shared by the
-    flows that carry it.  Each inverse is symmetrized, and `inv_norm_*` is the
-    top eigenvalue of the stored matrix, so the solver's curvature bounds hold
-    for the operator it actually applies.
+    Row f of `rows_b` (`rows_c`) is the length-T first row of flow f's block
+    of R_B (R_C).  The prior solves apply stored inverses: R_L^{-1}, R_Q^{-1},
+    and one inverse of the PD-conditioned Toeplitz block per distinct first
+    row, shared by the flows that carry it.  Each inverse is symmetrized, and
+    `inv_norm_*` is the top eigenvalue of the stored matrix, so the solver's
+    curvature bounds hold for the operator it actually applies.
     """
 
     R_L: np.ndarray
     R_Q: np.ndarray
-    anomaly_blocks: tuple
+    rows_b: np.ndarray
+    rows_c: np.ndarray
     _inv_RL: np.ndarray = field(init=False, repr=False, compare=False)
     _inv_RQ: np.ndarray = field(init=False, repr=False, compare=False)
     _groups: dict = field(init=False, repr=False, compare=False)
@@ -128,27 +129,23 @@ class CorrelationSet:
 
     def __post_init__(self):
         R_L, R_Q = _frozen_array(self.R_L), _frozen_array(self.R_Q)
-        blocks = tuple((_frozen_array(rb), _frozen_array(rc)) for rb, rc in self.anomaly_blocks)
+        rows_b, rows_c = _frozen_array(self.rows_b), _frozen_array(self.rows_c)
         for name, M in (("R_L", R_L), ("R_Q", R_Q)):
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square")
             _check_symmetric(M, name)
-        T = R_Q.shape[0]
-        if len(blocks) != R_L.shape[0]:
-            raise ValueError("need one anomaly block pair per flow")
-        for rb, rc in blocks:
-            if rb.shape != (T,) or rc.shape != (T,):
-                raise ValueError("anomaly block first rows must have length T")
+        if rows_b.shape != (R_L.shape[0], R_Q.shape[0]) or rows_c.shape != rows_b.shape:
+            raise ValueError("anomaly first rows must be flows-by-periods")
         tl, tq = np.trace(R_L), np.trace(R_Q)
         if abs(tl - tq) > 1e-6 * max(abs(tl), abs(tq)):
             raise ValueError(f"traces must match: tr(R_L)={tl:.6g}, tr(R_Q)={tq:.6g}")
-        if np.linalg.eigvalsh(R_L)[0] <= 0 or np.linalg.eigvalsh(R_Q)[0] <= 0:
-            raise ValueError("R_L and R_Q must be positive definite")
-        inv_RL, inv_RQ = _pd_inverse(R_L), _pd_inverse(R_Q)
-        groups = {"b": _prior_groups([rb for rb, _ in blocks]),
-                  "c": _prior_groups([rc for _, rc in blocks])}
+        try:
+            inv_RL, inv_RQ = _pd_inverse(R_L), _pd_inverse(R_Q)
+        except np.linalg.LinAlgError:
+            raise ValueError("R_L and R_Q must be positive definite") from None
+        groups = {"b": _prior_groups(rows_b), "c": _prior_groups(rows_c)}
         derived = {
-            "R_L": R_L, "R_Q": R_Q, "anomaly_blocks": blocks,
+            "R_L": R_L, "R_Q": R_Q, "rows_b": rows_b, "rows_c": rows_c,
             "_inv_RL": inv_RL, "_inv_RQ": inv_RQ, "_groups": groups,
             "inv_norm_RL": _top_eig(inv_RL), "inv_norm_RQ": _top_eig(inv_RQ),
             "inv_norm_RB": max(inv_norm for _, _, inv_norm in groups["b"]),
@@ -166,18 +163,9 @@ class CorrelationSet:
         unaffected because the factor scale re-balances.
         """
         s = np.sqrt(periods / flows)
-        row = np.zeros(periods)
-        row[0] = 1.0
-        blocks = tuple((row.copy(), row.copy()) for _ in range(flows))
-        return cls(s * np.eye(flows), np.eye(periods) / s, blocks)
-
-    @property
-    def n_flows(self) -> int:
-        return self.R_L.shape[0]
-
-    @property
-    def n_periods(self) -> int:
-        return self.R_Q.shape[0]
+        rows = np.zeros((flows, periods))
+        rows[:, 0] = 1.0
+        return cls(s * np.eye(flows), np.eye(periods) / s, rows, rows)
 
     def solve_RL(self, M: np.ndarray) -> np.ndarray:
         return self._inv_RL @ M
@@ -187,7 +175,7 @@ class CorrelationSet:
 
     def _solve_rows(self, M: np.ndarray, which: str) -> np.ndarray:
         M = np.asarray(M, dtype=np.float64)
-        if M.shape != (self.n_flows, self.n_periods):
+        if M.shape != self.rows_b.shape:
             raise ValueError("matrix must be flows-by-periods")
         out = np.empty_like(M)
         for flows, block, _ in self._groups[which]:
@@ -203,25 +191,6 @@ class CorrelationSet:
 
     def solve_RC(self, M: np.ndarray) -> np.ndarray:
         return self._solve_rows(M, "c")
-
-
-@dataclass(frozen=True)
-class TrainingData:
-    """Historical traffic/anomaly matrices spanning `days` periods of length `period`."""
-
-    traffic_history: np.ndarray
-    anomaly_history: np.ndarray
-    period: int
-    days: int
-
-    def __post_init__(self):
-        X, A = _frozen_array(self.traffic_history), _frozen_array(self.anomaly_history)
-        if X.shape != A.shape:
-            raise ValueError("traffic and anomaly histories must share dimensions")
-        if X.shape[1] != self.period * self.days:
-            raise ValueError("history column count must equal days * period")
-        object.__setattr__(self, "traffic_history", X)
-        object.__setattr__(self, "anomaly_history", A)
 
 
 def corr_from_moments(EXXt: np.ndarray, EXtX: np.ndarray, EnormX2: float, rho: int):
@@ -242,18 +211,21 @@ def corr_from_moments(EXXt: np.ndarray, EXtX: np.ndarray, EnormX2: float, rho: i
     return R_L, R_Q
 
 
-def learn_RQ_RL(data: TrainingData, rho: int):
+def learn_RQ_RL(history: np.ndarray, period: int, rho: int):
     """(R_L, R_Q) learned from day-periodic training traffic.
 
-    R_Q comes from day-averaged inner products of the time-slot vectors;
-    R_L off-diagonals assume uncorrelated OD flows (product of per-period
-    sample means), diagonals use sample second moments.  Both are
-    PD-conditioned and trace-equalized.
+    `history` is flows-by-(days * period), day after day.  R_Q comes from
+    day-averaged inner products of the time-slot vectors; R_L off-diagonals
+    assume uncorrelated OD flows (product of per-period sample means),
+    diagonals use sample second moments.  Both are PD-conditioned and
+    trace-equalized.
     """
-    if data.days < 2:
-        raise ValueError("need at least 2 training days")
-    F, T, K = data.traffic_history.shape[0], data.period, data.days
-    days = data.traffic_history.reshape(F, K, T)
+    X = np.ascontiguousarray(history, dtype=np.float64)
+    if X.ndim != 2 or period < 1 or X.shape[1] % period or X.shape[1] < 2 * period:
+        raise ValueError(f"history must be flows-by-(days * {period}) with at least 2 days, "
+                         f"got shape {X.shape}")
+    F, T, K = X.shape[0], period, X.shape[1] // period
+    days = X.reshape(F, K, T)
     # C_hat(t1, t2) = (1/K) sum_k x_{k,t1}' x_{k,t2}
     C_hat = np.einsum("fkt,fks->ts", days, days) / K
     norm2 = float(np.trace(C_hat))
@@ -298,14 +270,13 @@ def burst_correlations(bp: BurstParams, periods: int, n_flows: int) -> np.ndarra
         bp.theta, bp.sigma_n, periods
     )
     out = np.zeros((n_flows, periods))
-    for f in bp.anomalous_flows:
-        if 0 <= f < n_flows:
-            out[f] = seq
+    out[bp.rows(n_flows)] = seq
     return out
 
 
 def split_RB_RC(Ra: np.ndarray) -> tuple:
-    """Per-flow Toeplitz first rows (row_b, row_c) with R_b . R_c = R_a.
+    """Toeplitz first rows (rows_b, rows_c), each flows-by-T, with
+    R_b . R_c = R_a row by row.
 
     Magnitudes are split evenly, the sign rides on R_c.  Flows with an
     all-zero sequence get identity blocks scaled to the average diagonal of
@@ -314,35 +285,26 @@ def split_RB_RC(Ra: np.ndarray) -> tuple:
     Ra = np.asarray(Ra, dtype=np.float64)
     if Ra.ndim != 2:
         raise ValueError("expect one autocorrelation sequence per flow")
-    nonzero = [f for f in range(Ra.shape[0]) if np.abs(Ra[f]).max(initial=0.0) > 0]
-    for f in nonzero:
-        if Ra[f, 0] <= 0:
-            raise ValueError(f"flow {f}: R_a(0) must be positive")
-    if nonzero:
-        fill = float(np.mean([np.sqrt(Ra[f, 0]) for f in nonzero]))
-    else:
-        fill = 1.0
-    blocks = []
-    T = Ra.shape[1]
-    for f in range(Ra.shape[0]):
-        if f in nonzero:
-            mag = np.sqrt(np.abs(Ra[f]))
-            blocks.append((mag, mag * np.sign(Ra[f])))
-        else:
-            row = np.zeros(T)
-            row[0] = fill
-            blocks.append((row, row.copy()))
-    return tuple(blocks)
+    nonzero = np.abs(Ra).max(axis=1, initial=0.0) > 0
+    bad = np.flatnonzero(nonzero & (Ra[:, 0] <= 0))
+    if bad.size:
+        raise ValueError(f"flow {bad[0]}: R_a(0) must be positive")
+    fill = np.zeros(Ra.shape[1])
+    fill[0] = np.mean(np.sqrt(Ra[nonzero, 0])) if nonzero.any() else 1.0
+    mag = np.sqrt(np.abs(Ra))
+    keep = nonzero[:, None]
+    return np.where(keep, mag, fill), np.where(keep, mag * np.sign(Ra), fill)
 
 
-def learn_Ra_from_history(data: TrainingData) -> np.ndarray:
-    """Sample autocovariance of each flow's anomaly series, lags 0..T-1.
+def learn_Ra_from_history(history: np.ndarray, period: int) -> np.ndarray:
+    """Sample autocovariance of each flow's anomaly series, lags 0..period-1.
 
-    Uses the 1/(KT - tau) normalization over the full training horizon.
+    `history` is flows-by-horizon; the 1/(horizon - tau) normalization runs
+    over the full horizon.
     """
-    A = data.anomaly_history
+    A = np.asarray(history, dtype=np.float64)
     total = A.shape[1]
-    T = data.period
+    T = period
     if total <= T - 1:
         raise ValueError("training horizon must exceed the maximum lag")
     out = np.empty((A.shape[0], T))

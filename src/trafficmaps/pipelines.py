@@ -24,7 +24,6 @@ from .admm import (
 )
 from .correlation import (
     CorrelationSet,
-    TrainingData,
     burst_correlations,
     learn_RQ_RL,
     split_RB_RC,
@@ -669,12 +668,8 @@ def build_burst_scenario(cfg: ExperimentConfig, seed: int):
 
 def learn_burst_correlations(X_train: np.ndarray, bp: BurstParams, period: int,
                              rho: int) -> CorrelationSet:
-    F = X_train.shape[0]
-    days = X_train.shape[1] // period
-    data = TrainingData(X_train, np.zeros_like(X_train), period=period, days=days)
-    R_L, R_Q = learn_RQ_RL(data, rho=rho)
-    blocks = split_RB_RC(burst_correlations(bp, period, F))
-    return CorrelationSet(R_L, R_Q, blocks)
+    R_L, R_Q = learn_RQ_RL(X_train, period, rho)
+    return CorrelationSet(R_L, R_Q, *split_RB_RC(burst_correlations(bp, period, X_train.shape[0])))
 
 
 def cmd_burst_compare(cfg: ExperimentConfig, out_dir: str) -> dict:

@@ -65,6 +65,13 @@ class BurstParams:
             raise ValueError("innovation std must be nonnegative")
         object.__setattr__(self, "anomalous_flows", tuple(int(f) for f in self.anomalous_flows))
 
+    def rows(self, flows: int) -> list[int]:
+        """The anomalous flows as row indices of a matrix with `flows` rows."""
+        for f in self.anomalous_flows:
+            if not 0 <= f < flows:
+                raise ValueError(f"anomalous flow {f} is outside [0, {flows})")
+        return list(self.anomalous_flows)
+
 
 def gen_geometric_graph(p: GeoGraphParams) -> Topology:
     """Nodes uniform in the unit square; link pair (i<->j) iff distance < d_c."""
@@ -223,7 +230,7 @@ def gen_bursty_anomalies(flows: int, periods: int, bp: BurstParams, seed: int) -
     """Bursty anomalies a = gamma * b * c on the designated flows, zeros elsewhere."""
     rng = np.random.default_rng(seed)
     out = np.zeros((flows, periods))
-    rows = [f for f in bp.anomalous_flows if 0 <= f < flows]
+    rows = bp.rows(flows)
     if not rows:
         return out
     m = len(rows)

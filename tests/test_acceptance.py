@@ -20,7 +20,6 @@ from trafficmaps.admm import (
 )
 from trafficmaps.correlation import (
     CorrelationSet,
-    TrainingData,
     burst_correlations,
     equalize_traces,
     learn_Ra_from_history,
@@ -173,8 +172,8 @@ def _random_mm_instance(inst):
     G1 = rng.standard_normal((F, F))
     G2 = rng.standard_normal((T, T))
     RL, RQ = equalize_traces(G1 @ G1.T + F * np.eye(F), G2 @ G2.T + T * np.eye(T))
-    row = 0.5 ** np.arange(T)
-    corr = CorrelationSet(RL, RQ, tuple((row, row) for _ in range(F)))
+    rows = np.tile(0.5 ** np.arange(T), (F, 1))
+    corr = CorrelationSet(RL, RQ, rows, rows)
     cfg = MmConfig(rho=2, lambda_star=0.4, lambda_1=0.2)
     return R, obs, corr, cfg
 
@@ -208,8 +207,8 @@ def test_criterion_06_gradient_checks():
         G1 = rng.standard_normal((F, F))
         G2 = rng.standard_normal((T, T))
         RL, RQ = equalize_traces(G1 @ G1.T + F * np.eye(F), G2 @ G2.T + T * np.eye(T))
-        row = 0.6 ** np.arange(T)
-        corr = CorrelationSet(RL, RQ, tuple((row, row) for _ in range(F)))
+        rows = np.tile(0.6 ** np.arange(T), (F, 1))
+        corr = CorrelationSet(RL, RQ, rows, rows)
         cfg = MmConfig(rho=2, lambda_star=0.7, lambda_1=0.3)
         state = init_state(F, T, cfg, seed=600 + inst)
         for block in ("L", "Q", "B", "C"):
@@ -238,8 +237,7 @@ def test_criterion_07_burst_cross_validation():
     )
     A = gen_bursty_anomalies(n_flows, horizon, bp, seed=1)
     cols = (horizon // lags) * lags
-    data = TrainingData(A[:, :cols], A[:, :cols], period=lags, days=horizon // lags)
-    emp = learn_Ra_from_history(data).mean(axis=0)
+    emp = learn_Ra_from_history(A[:, :cols], lags).mean(axis=0)
     ana = burst_correlations(bp, lags, n_flows)[0]
     rel = np.abs(emp - ana) / np.abs(ana)
     report(7, rel.max() < 0.10,

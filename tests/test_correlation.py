@@ -5,7 +5,6 @@ from scipy.linalg import cho_factor, cho_solve, toeplitz
 import trafficmaps.correlation as correlation
 from trafficmaps.correlation import (
     CorrelationSet,
-    TrainingData,
     ar1_autocov,
     burst_chain_autocorr,
     burst_correlations,
@@ -49,6 +48,21 @@ def population_RQ(M, sigma, rho):
 
 def denom_sqrt(x):
     return np.sqrt(x)
+
+
+def identity_rows(F, T):
+    """F first rows of the T-by-T identity."""
+    rows = np.zeros((F, T))
+    rows[:, 0] = 1.0
+    return rows
+
+
+def singular_psd(F, seed):
+    """A symmetric positive semidefinite F-by-F matrix of rank 2, trace F."""
+    v = np.random.default_rng(seed).standard_normal((F, 2))
+    M = v @ v.T
+    M = 0.5 * (M + M.T)
+    return M * (F / np.trace(M))
 
 
 class TestCorrFromMoments:
@@ -109,18 +123,17 @@ class TestLearnRQRL:
     def test_repeated_history_gives_gram(self):
         F, T, K = 6, 10, 4
         M = smooth_profiles(F, T, seed=3)
-        data = TrainingData(np.tile(M, (1, K)), np.zeros((F, K * T)), period=T, days=K)
-        _, R_Q = learn_RQ_RL(data, rho=1)
+        _, R_Q = learn_RQ_RL(np.tile(M, (1, K)), T, rho=1)
         gram = M.T @ M
         # Proportionality up to the common normalization (and a PD floor).
         scale = np.trace(R_Q) / np.trace(gram)
         assert np.allclose(R_Q, scale * gram, atol=1e-6 * np.abs(R_Q).max())
 
-    def test_needs_two_days(self):
-        M = smooth_profiles(3, 5, seed=0)
-        data = TrainingData(M, np.zeros_like(M), period=5, days=1)
-        with pytest.raises(ValueError):
-            learn_RQ_RL(data, rho=1)
+    @pytest.mark.parametrize("width", [4, 10], ids=["one_day", "two_and_a_half_days"])
+    def test_needs_two_whole_days(self, width):
+        M = smooth_profiles(3, width, seed=0)
+        with pytest.raises(ValueError, match="at least 2 days"):
+            learn_RQ_RL(M, 4, rho=1)
 
     def test_consistency_in_days(self):
         F, T = 8, 16
@@ -132,8 +145,7 @@ class TestLearnRQRL:
             per_seed = []
             for seed in range(20):
                 hist = independent_flow_history(M, K, sigma, seed=100 * K + seed)
-                data = TrainingData(hist, np.zeros_like(hist), period=T, days=K)
-                _, R_Q = learn_RQ_RL(data, rho=rho)
+                _, R_Q = learn_RQ_RL(hist, T, rho=rho)
                 per_seed.append(np.linalg.norm(R_Q - RQ_pop) / np.linalg.norm(RQ_pop))
             errs.append(np.mean(per_seed))
         assert errs[0] > errs[1] > errs[2]
@@ -144,8 +156,7 @@ class TestLearnRQRL:
         sigma = 0.5
         rng_M = np.zeros((F, T))  # zero-mean independent flows
         hist = independent_flow_history(rng_M, K, sigma, seed=11)
-        data = TrainingData(hist, np.zeros_like(hist), period=T, days=K)
-        R_L, _ = learn_RQ_RL(data, rho=1)
+        R_L, _ = learn_RQ_RL(hist, T, rho=1)
         normalized = abs(R_L[0, 1]) / np.sqrt(R_L[0, 0] * R_L[1, 1])
         # 3 standard errors of the normalized mean product.
         assert normalized < 3.0 / (np.sqrt(T) * K)
@@ -188,27 +199,34 @@ class TestBurstCorrelations:
         assert np.abs(Ra[0]).max() == 0.0 and np.abs(Ra[2]).max() == 0.0
         assert Ra[1, 0] > 0
 
+    @pytest.mark.parametrize("flow", [7, -2])
+    def test_out_of_range_flow_rejected(self, flow):
+        bp = BurstParams(2.0, 0.5, 1.0, 0.5, 0.5, (1, flow))
+        with pytest.raises(ValueError, match=f"anomalous flow {flow} is outside"):
+            burst_correlations(bp, 6, 4)
+        with pytest.raises(ValueError, match=f"anomalous flow {flow} is outside"):
+            gen_bursty_anomalies(4, 6, bp, seed=0)
+
 
 class TestSplitBlocks:
     def test_diagonal_case(self):
         Ra = np.zeros((1, 5))
         Ra[0, 0] = 4.0
-        blocks = split_RB_RC(Ra)
-        row_b, row_c = blocks[0]
-        assert row_b[0] == 2.0 and row_c[0] == 2.0
-        assert np.abs(row_b[1:]).max() == 0.0
+        rows_b, rows_c = split_RB_RC(Ra)
+        assert rows_b[0, 0] == 2.0 and rows_c[0, 0] == 2.0
+        assert np.abs(rows_b[0, 1:]).max() == 0.0
 
     def test_reconstruction_identity(self):
         rng = np.random.default_rng(8)
         seq = 0.8 ** np.arange(12) * np.sign(rng.standard_normal(12))
         seq[0] = abs(seq[0]) + 0.5
         Ra = seq[None, :]
-        row_b, row_c = split_RB_RC(Ra)[0]
-        assert np.allclose(row_b * row_c, Ra[0], atol=1e-12)
+        rows_b, rows_c = split_RB_RC(Ra)
+        assert np.allclose(rows_b * rows_c, Ra, atol=1e-12)
 
     def test_geometric_decay_pd(self):
         Ra = (0.9 ** np.arange(30))[None, :]
-        row_b, row_c = split_RB_RC(Ra)[0]
+        row_b = split_RB_RC(Ra)[0][0]
         assert np.allclose(row_b, 0.9 ** (np.arange(30) / 2), atol=1e-12)
         w = np.linalg.eigvalsh(toeplitz(row_b))
         assert w[0] > 0
@@ -216,10 +234,26 @@ class TestSplitBlocks:
     def test_zero_rows_get_scaled_identity(self):
         Ra = np.zeros((2, 4))
         Ra[0, 0] = 9.0
-        blocks = split_RB_RC(Ra)
-        row_b, row_c = blocks[1]
-        assert row_b[0] == 3.0  # average diagonal of the nonzero flows
-        assert np.abs(row_b[1:]).max() == 0.0
+        rows_b, rows_c = split_RB_RC(Ra)
+        assert rows_b[1, 0] == 3.0  # average diagonal of the nonzero flows
+        assert np.abs(rows_b[1, 1:]).max() == 0.0
+        assert np.array_equal(rows_c[1], rows_b[1])
+
+    def test_mixed_rows_match_per_flow_formula(self):
+        Ra = np.array([
+            0.8 ** np.arange(6),                       # positive
+            [4.0, -1.0, 0.5, -0.25, 0.0, -2.0],        # negative lags
+            np.zeros(6),                               # zero: scaled identity
+        ])
+        rows_b, rows_c = split_RB_RC(Ra)
+        assert rows_b.shape == rows_c.shape == Ra.shape
+        fill = np.mean([1.0, 2.0])  # sqrt(R_a(0)) of the two nonzero flows
+        for f in range(2):
+            mag = np.sqrt(np.abs(Ra[f]))
+            assert np.array_equal(rows_b[f], mag)
+            assert np.array_equal(rows_c[f], mag * np.sign(Ra[f]))
+        for rows in (rows_b, rows_c):
+            assert np.array_equal(rows[2], np.r_[fill, np.zeros(5)])
 
     def test_rejects_nonpositive_lag0(self):
         Ra = np.array([[-1.0, 0.2]])
@@ -230,14 +264,12 @@ class TestSplitBlocks:
 class TestLearnRa:
     def test_constant_row(self):
         hist = np.ones((1, 40))
-        data = TrainingData(hist, hist, period=8, days=5)
-        Ra = learn_Ra_from_history(data)
+        Ra = learn_Ra_from_history(hist, 8)
         assert np.allclose(Ra[0], np.ones(8), atol=1e-12)
 
     def test_zero_row(self):
         hist = np.zeros((1, 40))
-        data = TrainingData(hist, hist, period=8, days=5)
-        assert np.abs(learn_Ra_from_history(data)).max() == 0.0
+        assert np.abs(learn_Ra_from_history(hist, 8)).max() == 0.0
 
     def test_long_burst_run_matches_formula(self):
         # The AR part mixes over ~1/(1-theta) = 1000 slots, so average the
@@ -251,8 +283,7 @@ class TestLearnRa:
         horizon = 200_000
         A = gen_bursty_anomalies(n_flows, horizon, bp, seed=12)
         cols = (horizon // T_lag) * T_lag
-        data = TrainingData(A[:, :cols], A[:, :cols], period=T_lag, days=horizon // T_lag)
-        emp = learn_Ra_from_history(data).mean(axis=0)
+        emp = learn_Ra_from_history(A[:, :cols], T_lag).mean(axis=0)
         ana = burst_correlations(bp, T_lag, n_flows)[0]
         rel = np.abs(emp - ana) / np.abs(ana)
         assert rel.max() < 0.10
@@ -332,18 +363,21 @@ class TestCorrelationSet:
         cs = CorrelationSet.identity(4, 9)
         assert np.trace(cs.R_L) == pytest.approx(np.trace(cs.R_Q))
 
-    def test_trace_mismatch_rejected(self):
-        row = np.zeros(3)
-        row[0] = 1.0
-        with pytest.raises(ValueError, match="trace"):
-            CorrelationSet(2 * np.eye(4), np.eye(3), tuple((row, row) for _ in range(4)))
+    @pytest.mark.parametrize("F, T, shape_b, shape_c, message", [
+        (4, 3, (4, 3), (4, 3), "traces must match"),  # tr(I_4) = 4, tr(I_3) = 3
+        (3, 3, (3, 4), (3, 4), "flows-by-periods"),   # rows of length T + 1
+        (3, 3, (3, 3), (2, 3), "flows-by-periods"),   # rows_c shaped unlike rows_b
+    ])
+    def test_inconsistent_inputs_rejected(self, F, T, shape_b, shape_c, message):
+        with pytest.raises(ValueError, match=message):
+            CorrelationSet(np.eye(F), np.eye(T), identity_rows(*shape_b), identity_rows(*shape_c))
 
     def test_block_solver_matches_dense(self):
         rng = np.random.default_rng(13)
         T = 8
         row = 0.7 ** np.arange(T)
-        blocks = tuple((row, row) for _ in range(3))
-        cs = CorrelationSet(np.eye(3) * (T / 3.0), np.eye(T), blocks)
+        rows = np.tile(row, (3, 1))
+        cs = CorrelationSet(np.eye(3) * (T / 3.0), np.eye(T), rows, rows)
         M = rng.standard_normal((3, T))
         dense = condition_pd(toeplitz(row))
         expected = np.linalg.solve(dense, M.T).T
@@ -357,19 +391,19 @@ class TestCorrelationSet:
         diag[0] = 2.5
         distinct = [0.7 ** np.arange(T), 0.3 ** np.arange(T), (-0.5) ** np.arange(T), diag]
         order = [0, 1, 2, 3, 0, 2, 1, 0, 3]
-        rows = [distinct[k] for k in order]
-        F = len(rows)
-        blocks = tuple((r, distinct[(k + 1) % 4]) for r, k in zip(rows, order))
-        cs = CorrelationSet(np.eye(F) * (T / F), np.eye(T), blocks)
+        rows_b = np.array([distinct[k] for k in order])
+        rows_c = np.array([distinct[(k + 1) % 4] for k in order])
+        F = len(order)
+        cs = CorrelationSet(np.eye(F) * (T / F), np.eye(T), rows_b, rows_c)
         M = rng.standard_normal((F, T))
 
         def per_row(row, v):
             return cho_solve(cho_factor(condition_pd(toeplitz(row))), v)
 
-        for solve, idx in ((cs.solve_RB, 0), (cs.solve_RC, 1)):
+        for solve, rows in ((cs.solve_RB, rows_b), (cs.solve_RC, rows_c)):
             got = solve(M)
             for f in range(F):
-                expected = per_row(blocks[f][idx], M[f])
+                expected = per_row(rows[f], M[f])
                 assert np.allclose(got[f], expected, rtol=1e-12, atol=1e-12)
         inv_norms = [1.0 / np.linalg.eigvalsh(condition_pd(toeplitz(r)))[0] for r in distinct]
         assert cs.inv_norm_RB == pytest.approx(max(inv_norms), rel=1e-12)
@@ -383,9 +417,9 @@ class TestCorrelationSet:
         diag = np.zeros(T)
         diag[0] = 2.0
         gauss, kms = 0.99 ** (k**2), 0.99999**k
-        blocks = ((gauss, kms), (diag, diag), (gauss, kms))
-        F = len(blocks)
-        cs = CorrelationSet(np.eye(F) * (T / F), np.eye(T), blocks)
+        rows_b, rows_c = np.array([gauss, diag, gauss]), np.array([kms, diag, kms])
+        F = len(rows_b)
+        cs = CorrelationSet(np.eye(F) * (T / F), np.eye(T), rows_b, rows_c)
         for row in (gauss, kms):
             w = np.linalg.eigvalsh(condition_pd(toeplitz(row)))
             assert w[-1] / w[0] == pytest.approx(1e6, rel=1e-3)
@@ -395,9 +429,12 @@ class TestCorrelationSet:
             # The slack covers only the rounding of the reference norm itself.
             assert bound >= np.linalg.norm(op, 2) * (1 - 1e-14)
 
-    def test_non_pd_rejected(self):
-        row = np.zeros(2)
-        row[0] = 1.0
-        M = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
-        with pytest.raises(ValueError, match="positive definite"):
-            CorrelationSet(M, np.eye(2), ((row, row), (row, row)))
+    @pytest.mark.parametrize("R_L", [
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3, -1
+        singular_psd(3, seed=0),             # rank 2; eigvalsh reads its 0 as +1.7e-17
+    ], ids=["indefinite", "singular_psd"])
+    def test_non_pd_rejected(self, R_L):
+        F = R_L.shape[0]
+        rows = identity_rows(F, F)
+        with pytest.raises(ValueError, match="R_L and R_Q must be positive definite"):
+            CorrelationSet(R_L, np.eye(F), rows, rows)

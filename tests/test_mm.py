@@ -37,8 +37,7 @@ def random_corr(F, T, seed):
     row_b = 0.6 ** np.arange(T)
     row_c = row_b * np.where(np.arange(T) % 3 == 2, -1.0, 1.0)
     row_c[0] = row_b[0]
-    blocks = tuple((row_b.copy(), row_c.copy()) for _ in range(F))
-    return CorrelationSet(RL, RQ, blocks)
+    return CorrelationSet(RL, RQ, np.tile(row_b, (F, 1)), np.tile(row_c, (F, 1)))
 
 
 def small_problem(seed=0, F=4, T=4, L=3, pi=0.5, identity_corr=False):
@@ -78,9 +77,8 @@ def slow_p5(state, obs, R, corr, cfg):
         np.trace(state.L.T @ RL_inv @ state.L) + np.trace(state.Q.T @ RQ_inv @ state.Q)
     )
     for f in range(F):
-        row_b, row_c = corr.anomaly_blocks[f]
-        Rb = condition_pd(toeplitz(row_b))
-        Rc = condition_pd(toeplitz(row_c))
+        Rb = condition_pd(toeplitz(corr.rows_b[f]))
+        Rc = condition_pd(toeplitz(corr.rows_c[f]))
         reg += 0.5 * cfg.lambda_1 * (
             state.B[f] @ np.linalg.solve(Rb, state.B[f])
             + state.C[f] @ np.linalg.solve(Rc, state.C[f])
@@ -434,7 +432,7 @@ def well_conditioned_toeplitz_corr(F, T, seed):
     (condition numbers about 16 and 3), which `condition_pd` leaves as they are."""
     base = random_corr(F, T, seed)
     row_b, row_c = 0.6 ** np.arange(T), 0.3 ** np.arange(T)
-    return CorrelationSet(base.R_L, base.R_Q, tuple((row_b, row_c) for _ in range(F)))
+    return CorrelationSet(base.R_L, base.R_Q, np.tile(row_b, (F, 1)), np.tile(row_c, (F, 1)))
 
 
 PRIORS = ("identity", "toeplitz", "toeplitz_at_floor")
